@@ -3,14 +3,16 @@
 
 The within-class loss only sees a class once the batch holds at least two of
 its samples, so small batches over many classes rarely engage it. Sweeps
-batch sizes and prints the fraction of batches with any repeated class.
+batch sizes and prints the fraction of the trainer's shuffled batches with
+any repeated class.
 """
 
 import argparse
 
 import numpy as np
 
-from msn.data import make_batches, synthetic_blobs
+from msn.data import synthetic_blobs
+from msn.trainer import TrainConfig, batch_indices_for_iteration
 
 
 def main():
@@ -27,17 +29,16 @@ def main():
                          rng=np.random.default_rng(args.seed))
     print(f"{'batch_size':>10} {'active_fraction':>15}")
     for size in args.sizes:
-        rng = np.random.default_rng((args.seed, size))
-        active = drawn = 0
+        config = TrainConfig(iterations=0, batch_size=size, seed=args.seed)
+        active = drawn = iteration = 0
         while drawn < args.batches:
-            for batch in make_batches(ds, size, "shuffled", rng):
-                if len(batch) < size:
-                    continue
-                counts = np.unique(ds.labels[batch], return_counts=True)[1]
-                active += int(counts.max() >= 2)
-                drawn += 1
-                if drawn == args.batches:
-                    break
+            batch = batch_indices_for_iteration(ds, config, iteration)
+            iteration += 1
+            if len(batch) < size:
+                continue  # ragged epoch tail keeps sizes comparable
+            counts = np.unique(ds.labels[batch], return_counts=True)[1]
+            active += int(counts.max() >= 2)
+            drawn += 1
         print(f"{size:>10} {active / args.batches:>15.3f}")
 
 

@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from msn.config import _split_blobs
+from msn.config import split_blobs
 from msn.data import synthetic_blobs
 from msn.network import NetworkSpec
 from msn.trainer import TrainConfig, evaluate, train
@@ -29,7 +29,7 @@ def run_once(seed, mode, args):
     ds = synthetic_blobs(args.classes, args.train_per_class + args.test_per_class,
                          image_shape=(8, 8, 1), separation=args.separation,
                          rng=np.random.default_rng((seed, 9000)))
-    train_ds, test_ds = _split_blobs(ds, args.train_per_class, args.test_per_class)
+    train_ds, test_ds = split_blobs(ds, args.train_per_class, args.test_per_class)
     result = train(config, spec, train_ds)
     rows = result.log.rows
     late = np.polyfit(np.arange(200), [r.loss_total for r in rows[-200:]], 1)[0]

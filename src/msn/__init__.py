@@ -3,17 +3,14 @@ a between-class cross-entropy term plus a within-class pairwise-distance
 squared hinge, attachable as pooling+FC heads at multiple network blocks."""
 
 from .losses import (
-    ClassPartition,
     LogitBatch,
     LossBreakdown,
     XiState,
     between_class_loss,
-    in_class_distance,
     msl_total,
     pair_count,
     softmax_probs,
     within_class_loss,
-    xi_update,
 )
 from .network import (
     ATTACHMENT_CONFIGS,
@@ -31,7 +28,6 @@ from .trainer import TrainConfig, TrainLog, evaluate, lr_schedule, train
 
 __all__ = [
     "ATTACHMENT_CONFIGS",
-    "ClassPartition",
     "LogitBatch",
     "LossBreakdown",
     "MsmHead",
@@ -47,7 +43,6 @@ __all__ = [
     "evaluate",
     "forward_heads",
     "grad_check",
-    "in_class_distance",
     "lr_schedule",
     "msl_total",
     "msn_loss",
@@ -56,5 +51,4 @@ __all__ = [
     "softmax_probs",
     "train",
     "within_class_loss",
-    "xi_update",
 ]

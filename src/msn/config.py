@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -231,37 +231,10 @@ class RunConfig:
             raise ConfigError(f"train: {exc}") from exc
 
     def resolved_dict(self) -> dict:
-        spec = self.network
         cfg = self.to_train_config()
         return {
-            "network": {
-                "family": spec.family, "depth_k": spec.depth_k,
-                "width_multiplier": spec.width_multiplier,
-                "widen_factor": spec.widen_factor,
-                "attachment": list(spec.attachment),
-                "num_classes": spec.num_classes,
-                "input_shape": list(spec.input_shape),
-                "num_blocks": spec.num_blocks,
-            },
-            "data": {
-                "dataset": self.data.dataset, "data_dir": self.data.data_dir,
-                "url": self.data.url, "sha256": self.data.sha256,
-                "gcn": self.data.gcn, "zca": self.data.zca,
-                "zca_eps": self.data.zca_eps, "flip": self.data.flip,
-                "blobs": {
-                    "classes": self.data.blobs.classes,
-                    "train_per_class": self.data.blobs.train_per_class,
-                    "test_per_class": self.data.blobs.test_per_class,
-                    "image_shape": list(self.data.blobs.image_shape),
-                    "separation": self.data.blobs.separation,
-                    "noise": self.data.blobs.noise,
-                },
-                "subset": (None if self.data.subset is None else {
-                    "classes": list(self.data.subset.classes),
-                    "train_per_class": self.data.subset.train_per_class,
-                    "test_per_class": self.data.subset.test_per_class,
-                }),
-            },
+            "network": asdict(self.network),
+            "data": asdict(self.data),
             "train": {
                 "iterations": cfg.iterations, "batch_size": cfg.batch_size,
                 "momentum": cfg.momentum, "lr": cfg.lr, "lr_decay": cfg.lr_decay,
@@ -284,7 +257,9 @@ class RunConfig:
 # dataset assembly
 # ---------------------------------------------------------------------------
 
-def _split_blobs(ds: D.LabeledDataset, train_per_class: int, test_per_class: int):
+def split_blobs(ds: D.LabeledDataset, train_per_class: int, test_per_class: int):
+    """Per class, the first ``train_per_class`` samples train and the next
+    ``test_per_class`` test; both splits keep class order."""
     train_idx, test_idx = [], []
     for c in range(ds.num_classes):
         idx = np.flatnonzero(ds.labels == c)
@@ -312,7 +287,7 @@ def load_datasets(config: RunConfig):
         ds = D.synthetic_blobs(b.classes, total, image_shape=b.image_shape,
                                separation=b.separation, noise=b.noise,
                                rng=np.random.default_rng((seed, 9000)))
-        train, test = _split_blobs(ds, b.train_per_class, b.test_per_class)
+        train, test = split_blobs(ds, b.train_per_class, b.test_per_class)
     else:
         data_dir = dc.resolve_data_dir()
         if not D.cifar10_files_present(data_dir):

@@ -263,12 +263,6 @@ def random_flip(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 # batching
 # ---------------------------------------------------------------------------
 
-def shuffled_epoch_indices(n: int, batch_size: int, rng: np.random.Generator) -> list:
-    """Uniform permutation cut into contiguous slices covering every index once."""
-    perm = rng.permutation(n)
-    return [perm[i:i + batch_size] for i in range(0, n, batch_size)]
-
-
 def class_aware_batch_indices(labels: np.ndarray, batch_size: int,
                               rng: np.random.Generator) -> np.ndarray:
     """One batch with at least two samples from every represented class.
@@ -295,20 +289,6 @@ def class_aware_batch_indices(labels: np.ndarray, batch_size: int,
     batch = np.concatenate(picks)
     rng.shuffle(batch)
     return batch
-
-
-def make_batches(dataset: LabeledDataset, batch_size: int, mode: str,
-                 rng: np.random.Generator):
-    """Iterator of index batches for one epoch-equivalent pass."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    if mode == "shuffled":
-        yield from shuffled_epoch_indices(len(dataset), batch_size, rng)
-    elif mode == "class-aware":
-        for _ in range((len(dataset) + batch_size - 1) // batch_size):
-            yield class_aware_batch_indices(dataset.labels, batch_size, rng)
-    else:
-        raise ValueError(f"unknown batching mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -51,27 +51,6 @@ def pair_count(mu: int) -> int:
     return mu * (mu - 1) // 2 if mu >= 2 else 0
 
 
-@dataclass(frozen=True)
-class ClassPartition:
-    """Batch indices grouped by label, with per-class sizes and pair counts."""
-
-    indices: tuple
-    mu: np.ndarray
-    lam: np.ndarray
-
-    @classmethod
-    def from_labels(cls, y: np.ndarray, num_classes: int) -> "ClassPartition":
-        y = np.asarray(y, dtype=np.int64)
-        idx = tuple(np.flatnonzero(y == j) for j in range(num_classes))
-        mu = np.array([len(i) for i in idx], dtype=np.int64)
-        lam = np.array([pair_count(int(m)) for m in mu], dtype=np.int64)
-        return cls(indices=idx, mu=mu, lam=lam)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.indices)
-
-
 @dataclass
 class XiState:
     """Adaptive threshold below which within-class spread is not penalized.
@@ -106,11 +85,6 @@ class XiState:
                 self.xi = max(self.floor, self.xi * self.decay)
                 self.history.clear()
         return self
-
-
-def xi_update(state: XiState, within_loss: float) -> XiState:
-    """Push one within-class loss sample and decay the threshold on plateau."""
-    return state.update(within_loss)
 
 
 @dataclass(frozen=True)
@@ -185,20 +159,8 @@ def _pairwise_distance(points: np.ndarray, mode: str):
     return d, d_grad
 
 
-def in_class_distance(batch: LogitBatch, partition: ClassPartition, j: int,
-                      distance_mode: str = "euclidean") -> float:
-    """Mean pairwise logit distance d_j for class j; needs mu_j >= 2."""
-    idx = partition.indices[j]
-    if len(idx) < 2:
-        raise ValueError(f"class {j} has {len(idx)} samples; in-class distance "
-                         f"needs at least 2")
-    d, _ = _pairwise_distance(batch.q[idx], distance_mode)
-    return d
-
-
 def within_class_loss(batch: LogitBatch, xi: float,
                       distance_mode: str = "euclidean",
-                      partition: ClassPartition | None = None,
                       ) -> tuple[float, np.ndarray, dict]:
     """Squared hinge on per-class mean pairwise distance exceeding xi.
 
@@ -210,12 +172,11 @@ def within_class_loss(batch: LogitBatch, xi: float,
         raise ValueError(f"xi must be positive, got {xi}")
     if not np.all(np.isfinite(batch.q)):
         raise NonFiniteError("non-finite logits in within_class_loss")
-    if partition is None:
-        partition = ClassPartition.from_labels(batch.y, batch.num_classes)
     grad = np.zeros_like(batch.q)
     loss = 0.0
     distances: dict[int, float] = {}
-    for j, idx in enumerate(partition.indices):
+    for j in range(batch.num_classes):
+        idx = np.flatnonzero(batch.y == j)
         if len(idx) < 2:
             continue
         d, d_grad = _pairwise_distance(batch.q[idx], distance_mode)

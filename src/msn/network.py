@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .losses import LogitBatch, LossBreakdown, XiState, msl_total, xi_update
+from .losses import LogitBatch, LossBreakdown, XiState, msl_total
 from .tensor import (
     Tensor,
     accumulate_grad,
@@ -290,13 +290,13 @@ def forward_heads(state: NetworkState, images, mode: str = "train",
 
 
 def msn_loss(heads: Sequence, within_weight: float = 1.0,
-             distance_mode: str = "euclidean", update_xi: bool = True):
+             distance_mode: str = "euclidean"):
     """Average the per-head combined losses into the network objective.
 
     ``heads`` is a sequence of (LogitBatch, XiState) pairs sharing one label
     vector. Returns (aggregate breakdown, per-head breakdowns, per-head logit
-    gradients already scaled by 1/len(heads)). Each head's threshold is
-    advanced with its own within-class loss unless ``update_xi`` is False.
+    gradients already scaled by 1/len(heads)). Pure: the thresholds are read,
+    never advanced.
     """
     if not heads:
         raise ValueError("msn_loss needs at least one head")
@@ -314,8 +314,6 @@ def msn_loss(heads: Sequence, within_weight: float = 1.0,
                                     distance_mode=distance_mode)
         per_head.append(breakdown)
         grads.append(grad * scale)
-        if update_xi:
-            xi_update(xi_state, breakdown.within)
 
     distance_keys = set()
     for bd in per_head:
@@ -340,13 +338,18 @@ def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,
     """Build the scalar loss node over the heads' logit tensors.
 
     Backward seeds each head's logits with its share of the averaged gradient,
-    from where reverse accumulation reaches the whole trunk.
+    from where reverse accumulation reaches the whole trunk. This is the one
+    place that advances each head's threshold with its own within-class loss,
+    unless ``update_xi`` is False.
     """
     if len(logit_tensors) != len(xi_states):
         raise ValueError("one xi state per head is required")
     pairs = [(LogitBatch(q=t.data, y=labels), xi) for t, xi in zip(logit_tensors, xi_states)]
     aggregate, per_head, grads = msn_loss(pairs, within_weight=within_weight,
-                                          distance_mode=distance_mode, update_xi=update_xi)
+                                          distance_mode=distance_mode)
+    if update_xi:
+        for xi_state, breakdown in zip(xi_states, per_head):
+            xi_state.update(breakdown.within)
     dtype = logit_tensors[0].data.dtype
     with np.errstate(over="ignore"):  # diverged losses saturate to inf, caught upstream
         value = np.asarray(aggregate.total, dtype=dtype)
@@ -362,16 +365,6 @@ def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,
     return out, aggregate, per_head
 
 
-def predict(state: NetworkState, images, head: str = "deepest") -> np.ndarray:
-    """Class indices from the deepest head's logits (ties: lowest index).
-
-    ``head="mean"`` averages logits across all attached heads instead.
-    """
-    logits = forward_heads(state, images, mode="infer")
-    if head == "deepest":
-        scores = logits[-1].data
-    elif head == "mean":
-        scores = np.mean([t.data for t in logits], axis=0)
-    else:
-        raise ValueError(f"unknown head selection {head!r}")
-    return scores.argmax(axis=1)
+def predict(state: NetworkState, images) -> np.ndarray:
+    """Class indices from the deepest head's logits (ties: lowest index)."""
+    return forward_heads(state, images, mode="infer")[-1].data.argmax(axis=1)

@@ -1,7 +1,9 @@
-"""Independent brute-force oracles used to cross-check the production code.
+"""Independent brute-force oracles used to cross-check the production code,
+by `msn verify` and by the tests.
 
 Everything here is deliberately naive (explicit loops, direct formulas) and
-shares no code with the package.
+imports only ``math`` and ``numpy``, so it shares no code with the rest of
+the package.
 """
 
 import math

@@ -61,9 +61,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self.op})"
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Reverse accumulation from this node, visiting each node exactly once.
 

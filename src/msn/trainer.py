@@ -9,7 +9,6 @@ resumed run replays the exact trajectory of an uninterrupted one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -114,16 +113,7 @@ def _csv_row(r: "IterationRecord") -> str:
 
 @dataclass
 class TrainLog:
-    head_blocks: tuple
     rows: list = field(default_factory=list)
-
-    def csv_lines(self):
-        yield CSV_HEADER
-        for r in self.rows:
-            yield _csv_row(r)
-
-    def to_csv(self, path) -> None:
-        Path(path).write_text("\n".join(self.csv_lines()) + "\n")
 
 
 @dataclass
@@ -252,7 +242,7 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
         opt_state = OptimizerState.zeros_like(state.params)
         start = 0
 
-    log = TrainLog(head_blocks=tuple(h.attach_block for h in state.heads))
+    log = TrainLog()
     csv_file = None
     if csv_path is not None:
         csv_file = open(csv_path, "w")
@@ -273,7 +263,7 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
                 loss, aggregate, _ = attach_msn_loss(
                     logits, labels, [h.xi_state for h in state.heads],
                     within_weight=config.within_weight,
-                    distance_mode=config.distance_mode, update_xi=True)
+                    distance_mode=config.distance_mode)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(it, str(exc)) from exc
             if not np.isfinite(loss.data):

@@ -1,17 +1,17 @@
 """Self-check suites behind `msn verify`: gradient checks, brute-force oracle
 comparisons, and formula invariants.
 
-The oracles here are deliberately naive loop implementations kept separate
-from the production code paths they validate.
+The oracles are the deliberately naive loop implementations in
+`msn.oracles`, kept separate from the production code paths they validate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracles
 from .losses import (
     LogitBatch,
     XiState,
@@ -19,7 +19,6 @@ from .losses import (
     msl_total,
     softmax_probs,
     within_class_loss,
-    xi_update,
 )
 from .network import NetworkSpec, attach_msn_loss, build_network, forward_heads, msn_loss
 from .tensor import (
@@ -52,60 +51,6 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{self.name} worst_err={self.worst:.3e} threshold={self.threshold:.1e} {status}"
-
-
-# ---------------------------------------------------------------------------
-# naive oracles
-# ---------------------------------------------------------------------------
-
-def _conv_loops(x, k, b, stride, pad):
-    n, h, w, ci = x.shape
-    kh, kw, _, co = k.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, ci))
-    padded[:, pad:pad + h, pad:pad + w, :] = x
-    out = np.zeros((n, oh, ow, co))
-    for bi in range(n):
-        for i in range(oh):
-            for j in range(ow):
-                for o in range(co):
-                    acc = b[o]
-                    for di in range(kh):
-                        for dj in range(kw):
-                            for c in range(ci):
-                                acc += padded[bi, i * stride + di, j * stride + dj, c] \
-                                    * k[di, dj, c, o]
-                    out[bi, i, j, o] = acc
-    return out
-
-
-def _pool_loops(x):
-    n, h, w, c = x.shape
-    out = np.zeros((n, h // 2, w // 2, c))
-    for bi in range(n):
-        for i in range(h // 2):
-            for j in range(w // 2):
-                for ch in range(c):
-                    out[bi, i, j, ch] = x[bi, 2 * i:2 * i + 2, 2 * j:2 * j + 2, ch].max()
-    return out
-
-
-def _within_loops(q, y, xi):
-    total = 0.0
-    for j in sorted(set(int(v) for v in y)):
-        idx = [i for i in range(len(y)) if y[i] == j]
-        mu = len(idx)
-        if mu < 2:
-            continue
-        lam = mu * (mu - 1) // 2
-        d = 0.0
-        for a in range(mu):
-            for b in range(a + 1, mu):
-                d += math.sqrt(float(((q[idx[a]] - q[idx[b]]) ** 2).sum()))
-        d /= lam
-        total += max(0.0, d - xi) ** 2
-    return total
 
 
 def _rel(a, b) -> float:
@@ -207,7 +152,9 @@ def full_network_gradcheck(seed: int = 0, width: float = 0.25, depth_k: int = 1,
         out, _, _ = attach_msn_loss(logits, labels, xi_states, update_xi=False)
         return out
 
-    err = grad_check(f, arrays)
+    # A 1e-7 step keeps the central differences from straddling a ReLU or
+    # max-pool kink, which the default 1e-5 step does at some seeds.
+    err = grad_check(f, arrays, eps=1e-7)
     return CheckResult("gradcheck/full_msn_config7", err, 1e-4)
 
 
@@ -225,41 +172,35 @@ def oracle_suite(seed: int = 0) -> list:
         k = rng.standard_normal((3, 3, 3, 4))
         b = rng.standard_normal(4)
         out = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, pad=pad)
-        worst = max(worst, _rel(out.data, _conv_loops(x, k, b, stride, pad)))
+        worst = max(worst, _rel(out.data, oracles.conv2d_loops(x, k, b, stride, pad)))
     results.append(CheckResult("oracle/conv2d_vs_loops", worst, 1e-6))
 
     x = rng.standard_normal((2, 8, 8, 3))
     out = max_pool2(Tensor(x))
     results.append(CheckResult("oracle/max_pool2_vs_loops",
-                               _rel(out.data, _pool_loops(x)), 1e-6))
+                               _rel(out.data, oracles.max_pool2_loops(x)), 1e-6))
 
     x = rng.standard_normal((4, 6))
     w = rng.standard_normal((6, 3))
     b = rng.standard_normal(3)
     out = linear(Tensor(x), Tensor(w), Tensor(b))
     results.append(CheckResult("oracle/linear_vs_loops",
-                               _rel(out.data, x @ w + b), 1e-6))
+                               _rel(out.data, oracles.linear_loops(x, w, b)), 1e-6))
 
     x = rng.standard_normal((3, 4, 4, 5))
     out = global_average_pool(Tensor(x))
-    manual = np.array([[x[i, :, :, c].sum() / 16 for c in range(5)] for i in range(3)])
     results.append(CheckResult("oracle/global_average_pool_vs_mean",
-                               _rel(out.data, manual), 1e-12))
+                               _rel(out.data, oracles.gap_loops(x)), 1e-12))
 
     q = rng.standard_normal((5, 7)) * 3
-    direct = np.array([[math.exp(v) for v in row] for row in q])
-    direct /= direct.sum(axis=1, keepdims=True)
     results.append(CheckResult("oracle/softmax_vs_direct",
-                               _rel(softmax_probs(q), direct), 1e-12))
+                               _rel(softmax_probs(q), oracles.softmax_direct(q)), 1e-12))
 
-    n = 5
-    q = rng.standard_normal((n, 4))
-    y = rng.integers(0, 4, n)
-    p = softmax_probs(q)
-    direct_ce = -sum(math.log(p[i, y[i]]) for i in range(n)) / n
+    q = rng.standard_normal((5, 4))
+    y = rng.integers(0, 4, 5)
     loss, _ = between_class_loss(LogitBatch(q=q, y=y))
     results.append(CheckResult("oracle/between_class_vs_direct",
-                               abs(loss - direct_ce), 1e-12))
+                               abs(loss - oracles.between_class_direct(q, y)), 1e-12))
 
     worst = 0.0
     for _ in range(50):
@@ -268,7 +209,7 @@ def oracle_suite(seed: int = 0) -> list:
         q = rng.standard_normal((n, c)) * 3
         y = rng.integers(0, c, n)
         loss, _, _ = within_class_loss(LogitBatch(q=q, y=y), xi=0.5)
-        brute = _within_loops(q, y, 0.5)
+        brute = oracles.within_class_brute(q, y, 0.5)
         worst = max(worst, abs(loss - brute) / max(1.0, abs(brute)))
     results.append(CheckResult("oracle/within_class_vs_all_pairs", worst, 1e-10))
     return results
@@ -300,7 +241,7 @@ def invariant_suite(seed: int = 0) -> list:
         y = rng.integers(0, c, n)
         heads = [(LogitBatch(q=rng.standard_normal((n, c)) * 2, y=y), XiState())
                  for _ in range(count)]
-        aggregate, per_head, _ = msn_loss(heads, update_xi=False)
+        aggregate, per_head, _ = msn_loss(heads)
         mean_total = float(np.mean([bd.total for bd in per_head]))
         worst = max(worst, abs(aggregate.total - mean_total))
     results.append(CheckResult("invariant/head_averaging", worst, 1e-12))
@@ -329,7 +270,7 @@ def invariant_suite(seed: int = 0) -> list:
     observed = [state.xi]
     while state.xi > state.floor:
         for _ in range(2 * state.window):
-            xi_update(state, 1.0)
+            state.update(1.0)
         observed.append(state.xi)
     worst = max(abs(a - b) for a, b in zip(expected, observed)) \
         if len(expected) == len(observed) else float("inf")

@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from msn.config import RunConfig, load_datasets
+from msn import oracles
+from msn.config import RunConfig, load_datasets, split_blobs
 from msn.data import (
     cifar10_files_present,
     global_contrast_normalize,
     load_cifar10,
-    make_batches,
     subset_per_class,
     synthetic_blobs,
     zca_apply,
@@ -29,13 +29,16 @@ from msn.losses import (
     between_class_loss,
     msl_total,
     within_class_loss,
-    xi_update,
 )
 from msn.network import NetworkSpec, msn_loss
-from msn.trainer import TrainConfig, evaluate, save_checkpoint, train
+from msn.trainer import (
+    TrainConfig,
+    batch_indices_for_iteration,
+    evaluate,
+    save_checkpoint,
+    train,
+)
 from msn.verify import run_suites
-
-import oracles
 
 
 def report(number, detail):
@@ -117,7 +120,7 @@ def test_criterion_04_xi_schedule_sequence():
     observed = [state.xi]
     for _ in range(120):
         for _ in range(2 * state.window):
-            xi_update(state, 1.0)
+            state.update(1.0)
         observed.append(state.xi)
         if state.xi == state.floor and observed[-2] == state.floor:
             break
@@ -144,7 +147,7 @@ def test_criterion_05_head_averaging():
         y = rng.integers(0, c, n)
         heads = [(LogitBatch(q=rng.standard_normal((n, c)) * 2, y=y),
                   XiState(initial_xi=0.1 * (i + 1))) for i in range(count)]
-        aggregate, per_head, grads = msn_loss(heads, update_xi=False)
+        aggregate, per_head, grads = msn_loss(heads)
         mean_total = float(np.mean([bd.total for bd in per_head]))
         worst = max(worst, abs(aggregate.total - mean_total))
         assert len(grads) == count
@@ -162,19 +165,19 @@ def test_criterion_06_batch_size_sensitivity():
     sizes = [2, 3, 4, 6, 8, 12]
     fractions = []
     for size in sizes:
-        rng = np.random.default_rng((6, size))
+        config = TrainConfig(iterations=0, batch_size=size, seed=6)
         active = 0
         drawn = 0
+        iteration = 0
         while drawn < 1000:
-            for batch in make_batches(ds, size, "shuffled", rng):
-                if len(batch) < size:
-                    continue  # ragged epoch tail keeps sizes comparable
-                labels = ds.labels[batch]
-                if np.unique(labels, return_counts=True)[1].max() >= 2:
-                    active += 1
-                drawn += 1
-                if drawn == 1000:
-                    break
+            batch = batch_indices_for_iteration(ds, config, iteration)
+            iteration += 1
+            if len(batch) < size:
+                continue  # ragged epoch tail keeps sizes comparable
+            labels = ds.labels[batch]
+            if np.unique(labels, return_counts=True)[1].max() >= 2:
+                active += 1
+            drawn += 1
         fractions.append(active / 1000)
     assert all(a < b for a, b in zip(fractions, fractions[1:])), fractions
     report(6, "active-within fraction over batch sizes "
@@ -193,13 +196,7 @@ def _blob_ab_run(seed, loss_mode, iterations=2000):
                          within_weight=0.0 if loss_mode == "ce" else 1.0)
     ds = synthetic_blobs(4, 600, image_shape=(8, 8, 1), separation=3.0,
                          rng=np.random.default_rng((seed, 9000)))
-    train_idx, test_idx = [], []
-    for c in range(4):
-        idx = np.flatnonzero(ds.labels == c)
-        train_idx.append(idx[:500])
-        test_idx.append(idx[500:600])
-    train_ds = ds.take(np.concatenate(train_idx))
-    test_ds = ds.take(np.concatenate(test_idx))
+    train_ds, test_ds = split_blobs(ds, 500, 100)
     result = train(config, spec, train_ds)
     return result, train_ds, test_ds
 

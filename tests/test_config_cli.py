@@ -3,6 +3,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,76 @@ def write_config(tmp_path, cfg, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+# The exact config.resolved.json written for configs/blobs_small.json. Every
+# run directory records its config in this form, so any change shows here.
+BLOBS_SMALL_RESOLVED = """\
+{
+  "data": {
+    "blobs": {
+      "classes": 4,
+      "image_shape": [
+        8,
+        8,
+        1
+      ],
+      "noise": 1.0,
+      "separation": 3.0,
+      "test_per_class": 100,
+      "train_per_class": 500
+    },
+    "data_dir": null,
+    "dataset": "blobs",
+    "flip": false,
+    "gcn": false,
+    "sha256": null,
+    "subset": null,
+    "url": null,
+    "zca": false,
+    "zca_eps": 0.01
+  },
+  "network": {
+    "attachment": [
+      1,
+      2
+    ],
+    "depth_k": 1,
+    "family": "vgg",
+    "input_shape": [
+      8,
+      8,
+      1
+    ],
+    "num_blocks": 2,
+    "num_classes": 4,
+    "widen_factor": 10,
+    "width_multiplier": 0.0625
+  },
+  "out_dir": null,
+  "train": {
+    "batch_size": 64,
+    "batching": "class-aware",
+    "distance_mode": "euclidean",
+    "eval_interval": 100,
+    "iterations": 2000,
+    "loss": "msl",
+    "lr": 0.01,
+    "lr_decay": 0.9,
+    "lr_period": 20000,
+    "momentum": 0.9,
+    "seed": 0,
+    "within_weight": 1.0,
+    "xi": {
+      "decay": 0.9,
+      "floor": 0.0001,
+      "initial": 0.5,
+      "plateau_tol": 0.001,
+      "window": 100
+    }
+  }
+}
+"""
 
 
 class TestConfigSchema:
@@ -101,6 +172,10 @@ class TestConfigSchema:
         resolved = json.loads(cfg.resolved_json())
         again = RunConfig.from_dict(resolved)
         assert again.resolved_json() == cfg.resolved_json()
+
+    def test_blobs_small_resolved_json_is_pinned(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "blobs_small.json"
+        assert RunConfig.from_file(path).resolved_json() == BLOBS_SMALL_RESOLVED
 
     def test_bad_network_reported_as_config_error(self):
         raw = minimal_config()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from msn import data as D
+from msn.trainer import TrainConfig, batch_indices_for_iteration
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +126,26 @@ class TestFlip:
 # batching
 # ---------------------------------------------------------------------------
 
+def shuffled_epoch(ds, batch_size):
+    """The trainer's shuffled batches from iteration 0 until they hold len(ds)
+    indices."""
+    config = TrainConfig(iterations=0, batch_size=batch_size)
+    batches = []
+    while sum(len(b) for b in batches) < len(ds):
+        batches.append(batch_indices_for_iteration(ds, config, len(batches)))
+    return batches
+
+
 class TestBatches:
-    def test_shuffled_epoch_partitions_indices(self, rng):
+    def test_shuffled_epoch_partitions_indices(self):
         ds = D.synthetic_blobs(3, 21, rng=np.random.default_rng(0))
-        batches = list(D.make_batches(ds, 16, "shuffled", rng))
+        batches = shuffled_epoch(ds, 16)
         seen = np.concatenate(batches)
         assert sorted(seen.tolist()) == list(range(len(ds)))
 
-    def test_batch_size_equal_to_n_is_single_batch(self, rng):
+    def test_batch_size_equal_to_n_is_single_batch(self):
         ds = D.synthetic_blobs(2, 8, rng=np.random.default_rng(0))
-        batches = list(D.make_batches(ds, len(ds), "shuffled", rng))
+        batches = shuffled_epoch(ds, len(ds))
         assert len(batches) == 1 and len(batches[0]) == len(ds)
 
     def test_class_aware_guarantees_pairs(self):
@@ -160,10 +171,11 @@ class TestBatches:
         with pytest.raises(ValueError):
             D.class_aware_batch_indices(ds.labels, 1, np.random.default_rng(0))
 
-    def test_unknown_mode(self, rng):
+    def test_unknown_mode(self):
         ds = D.synthetic_blobs(2, 4, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            list(D.make_batches(ds, 2, "bogus", rng))
+            batch_indices_for_iteration(
+                ds, TrainConfig(iterations=0, batch_size=2, batching="bogus"), 0)
 
 
 # ---------------------------------------------------------------------------

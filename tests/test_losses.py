@@ -9,19 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from msn import oracles
 from msn.losses import (
-    ClassPartition,
     LogitBatch,
     between_class_loss,
-    in_class_distance,
     msl_total,
     pair_count,
     softmax_probs,
     within_class_loss,
 )
 from msn.tensor import NonFiniteError
-
-import oracles
 
 finite_floats = st.floats(-5.0, 5.0, allow_nan=False)
 
@@ -100,37 +97,30 @@ class TestPairCount:
         assert pair_count(mu) == expected
 
 
+def class_distances(batch):
+    """The map j -> d_j that within_class_loss returns."""
+    return within_class_loss(batch, xi=0.5)[2]
+
+
 class TestInClassDistance:
     def test_three_four_five(self):
         batch = LogitBatch(q=np.array([[0.0, 0.0], [3.0, 4.0]]), y=np.array([0, 0]))
-        part = ClassPartition.from_labels(batch.y, 2)
-        assert in_class_distance(batch, part, 0) == pytest.approx(5.0, abs=1e-12)
+        assert class_distances(batch)[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_identical_vectors(self):
         batch = LogitBatch(q=np.ones((3, 4)), y=np.zeros(3, dtype=int))
-        part = ClassPartition.from_labels(batch.y, 4)
-        assert in_class_distance(batch, part, 0) == 0.0
+        assert class_distances(batch)[0] == 0.0
 
     def test_matches_bruteforce_over_six_pairs(self, rng):
         q = rng.standard_normal((4, 5))
         y = np.zeros(4, dtype=int)
         batch = LogitBatch(q=q, y=y)
-        part = ClassPartition.from_labels(y, 5)
         expected = oracles.class_distance_brute(q, y, 0)
-        assert abs(in_class_distance(batch, part, 0) - expected) <= 1e-12
+        assert abs(class_distances(batch)[0] - expected) <= 1e-12
 
-    def test_single_sample_class_rejected(self):
-        batch = LogitBatch(q=np.zeros((1, 2)), y=np.array([0]))
-        part = ClassPartition.from_labels(batch.y, 2)
-        with pytest.raises(ValueError):
-            in_class_distance(batch, part, 0)
-
-    def test_partition_counts(self):
-        y = np.array([0, 1, 1, 2, 2, 2])
-        part = ClassPartition.from_labels(y, 4)
-        assert part.mu.tolist() == [1, 2, 3, 0]
-        assert part.lam.tolist() == [0, 1, 3, 0]
-        assert part.mu.sum() == len(y)
+    def test_single_sample_class_has_no_distance(self):
+        batch = LogitBatch(q=np.zeros((3, 2)), y=np.array([0, 1, 1]))
+        assert set(class_distances(batch)) == {1}
 
 
 class TestWithinClassLoss:
@@ -257,11 +247,10 @@ def test_permutation_invariance(batch, data):
 )
 def test_class_shift_leaves_distance_unchanged(q, shift):
     y = np.array([0, 0, 0, 1, 1])
-    part = ClassPartition.from_labels(y, 3)
-    base = in_class_distance(LogitBatch(q=q, y=y), part, 0)
+    base = class_distances(LogitBatch(q=q, y=y))[0]
     moved = q.copy()
     moved[:3] += shift
-    after = in_class_distance(LogitBatch(q=moved, y=y), part, 0)
+    after = class_distances(LogitBatch(q=moved, y=y))[0]
     assert abs(base - after) <= 1e-9 * max(1.0, base)
 
 

@@ -13,7 +13,7 @@ from msn.network import (
     msn_loss,
     predict,
 )
-from msn.tensor import grad_check
+from msn.tensor import Tensor, grad_check
 
 
 def small_spec(**overrides):
@@ -164,7 +164,7 @@ class TestMsnLoss:
 
     def test_single_head_equals_msl_total(self, rng):
         heads = self.make_heads(rng, 1)
-        aggregate, per_head, _ = msn_loss(heads, update_xi=False)
+        aggregate, per_head, _ = msn_loss(heads)
         expected, _ = msl_total(heads[0][0], heads[0][1].xi)
         assert aggregate.total == pytest.approx(expected.total, abs=1e-15)
         assert len(per_head) == 1
@@ -172,7 +172,7 @@ class TestMsnLoss:
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     def test_aggregate_is_arithmetic_mean(self, rng, count):
         heads = self.make_heads(rng, count)
-        aggregate, per_head, grads = msn_loss(heads, update_xi=False)
+        aggregate, per_head, grads = msn_loss(heads)
         mean_total = np.mean([bd.total for bd in per_head])
         assert abs(aggregate.total - mean_total) <= 1e-12
         assert len(grads) == count
@@ -181,13 +181,13 @@ class TestMsnLoss:
         y = rng.integers(0, 4, 10)
         q = rng.standard_normal((10, 4))
         heads = [(LogitBatch(q=q.copy(), y=y), XiState()) for _ in range(3)]
-        aggregate, per_head, _ = msn_loss(heads, update_xi=False)
+        aggregate, per_head, _ = msn_loss(heads)
         assert aggregate.total == pytest.approx(per_head[0].total, abs=1e-12)
 
     def test_removing_a_head_follows_averaging_formula(self, rng):
         heads = self.make_heads(rng, 4)
-        full, per_head, _ = msn_loss(heads, update_xi=False)
-        reduced, _, _ = msn_loss(heads[:-1], update_xi=False)
+        full, per_head, _ = msn_loss(heads)
+        reduced, _, _ = msn_loss(heads[:-1])
         expected = (full.total * 4 - per_head[-1].total) / 3
         assert abs(reduced.total - expected) <= 1e-12
 
@@ -203,10 +203,14 @@ class TestMsnLoss:
 
     def test_update_xi_flag(self, rng):
         heads = self.make_heads(rng, 2)
-        msn_loss(heads, update_xi=False)
+        msn_loss(heads)  # pure: reads the thresholds, never advances them
         assert all(len(xi.history) == 0 for _, xi in heads)
-        msn_loss(heads, update_xi=True)
-        assert all(len(xi.history) == 1 for _, xi in heads)
+        logits = [Tensor(batch.q) for batch, _ in heads]
+        labels, xi_states = heads[0][0].y, [xi for _, xi in heads]
+        attach_msn_loss(logits, labels, xi_states, update_xi=False)
+        assert all(len(xi.history) == 0 for xi in xi_states)
+        _, _, per_head = attach_msn_loss(logits, labels, xi_states)
+        assert [list(xi.history) for xi in xi_states] == [[bd.within] for bd in per_head]
 
 
 class TestEndToEnd:
@@ -276,12 +280,3 @@ class TestPredict:
         # direct check of the tie rule on raw scores
         scores = np.array([[0.5, 0.5], [1.0, 1.0]])
         np.testing.assert_array_equal(scores.argmax(axis=1), [0, 0])
-
-    def test_mean_head_option(self, rng):
-        spec = small_spec(attachment=(1, 2))
-        state = build_network(spec, seed=5)
-        images = rng.standard_normal((3, 8, 8, 1))
-        preds = predict(state, images, head="mean")
-        logits = forward_heads(state, images, mode="infer")
-        mean_scores = np.mean([t.data for t in logits], axis=0)
-        np.testing.assert_array_equal(preds, mean_scores.argmax(axis=1))

@@ -1,10 +1,14 @@
 """Forward-path checks of the layer ops against naive loop oracles."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msn import oracles
 from msn.tensor import (
     ShapeMismatchError,
     Tensor,
@@ -16,8 +20,6 @@ from msn.tensor import (
     relu,
     residual_add,
 )
-
-import oracles
 
 
 def t64(arr):
@@ -259,3 +261,15 @@ def test_pool_and_gap_shapes(n, h2, w2, c):
 def test_linear_shape(n, d, c):
     out = linear(Tensor(np.zeros((n, d))), Tensor(np.zeros((d, c))), Tensor(np.zeros(c)))
     assert out.shape == (n, c)
+
+
+def test_oracles_import_only_math_and_numpy():
+    # The oracles stay independent of the code they check.
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"math", "numpy"}

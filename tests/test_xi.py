@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msn.losses import XiState, xi_update
+from msn.losses import XiState
 
 
 def feed_constant(state, value, count):
     for _ in range(count):
-        xi_update(state, value)
+        state.update(value)
 
 
 def test_fresh_state_starts_at_half():
@@ -44,7 +44,7 @@ def test_window_clears_after_decay():
 def test_changing_loss_does_not_decay():
     state = XiState(window=5)
     for i in range(40):
-        xi_update(state, 10.0 - 0.2 * i)  # steadily moving, never a plateau
+        state.update(10.0 - 0.2 * i)  # steadily moving, never a plateau
     assert state.xi == 0.5
 
 
@@ -67,7 +67,7 @@ def test_relative_tolerance_scales_with_level():
     # 0.05% relative drift around a large level is still a plateau at tol 1e-3.
     state = XiState(window=4, plateau_tol=1e-3)
     for v in [100.0, 100.0, 100.0, 100.0, 100.02, 100.02, 100.02, 100.02]:
-        xi_update(state, v)
+        state.update(v)
     assert state.xi == pytest.approx(0.45)
 
 
@@ -78,7 +78,7 @@ def test_xi_is_monotone_and_floored(values, window):
     state = XiState(window=window)
     seen = [state.xi]
     for v in values:
-        xi_update(state, v)
+        state.update(v)
         seen.append(state.xi)
     assert all(a >= b for a, b in zip(seen, seen[1:]))
     assert all(x >= state.floor for x in seen)
