@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .checkpoint import CheckpointError
-from .config import ConfigError, RunConfig, load_datasets
+from .config import ConfigError, DataConfig, RunConfig, load_datasets
 from .data import DatasetFormatError, DigestMismatchError, DownloadError, fetch_dataset
 from .trainer import (
     TrainingDivergedError,
@@ -43,24 +43,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _default_data_dir() -> str:
-    return os.environ.get("MSN_DATA_DIR", "data")
-
-
 def cmd_fetch_data(args) -> int:
-    url, sha256, data_dir = args.url, args.sha256, None
+    data = DataConfig()
     if args.config:
         try:
-            config = RunConfig.from_file(args.config)
+            data = RunConfig.from_file(args.config).data
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        url = url or config.data.url
-        sha256 = sha256 or config.data.sha256
-        data_dir = config.data.data_dir
-    dest = args.out or data_dir or _default_data_dir()
+    dest = args.out or data.resolve_data_dir()
     try:
-        status = fetch_dataset(dest, name=args.dataset, url=url, sha256=sha256)
+        status = fetch_dataset(dest, name=args.dataset, url=args.url or data.url,
+                               sha256=args.sha256 or data.sha256)
     except (DigestMismatchError, DatasetFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIGEST
@@ -114,14 +108,9 @@ def cmd_eval(args) -> int:
     config_path = args.config or ckpt_path.parent / "config.resolved.json"
     try:
         config = RunConfig.from_file(config_path)
-        if args.dataset or args.data_dir:
-            data = dataclasses.replace(
-                config.data,
-                dataset=args.dataset or config.data.dataset,
-                data_dir=args.data_dir or config.data.data_dir)
-            config = RunConfig(network=config.network, data=data,
-                               train_section=config.train_section,
-                               out_dir=config.out_dir)
+        data = dataclasses.replace(config.data, dataset=args.dataset or config.data.dataset,
+                                   data_dir=args.data_dir or config.data.data_dir)
+        config = dataclasses.replace(config, data=data)
         _, test_ds = load_datasets(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,15 +1,20 @@
 """Run configuration: strict JSON schema plus dataset assembly.
 
 A run config has four top-level sections: ``network``, ``data``, ``train``,
-and ``out_dir``. Unknown keys anywhere are rejected before any compute
-starts. Flags (seed, out dir, loss mode) override file values at the CLI.
+and ``out_dir``. Each section is read into its dataclass, whose fields give
+the allowed keys, the required ones, the defaults and the JSON value types.
+Flags (seed, out dir, loss mode) override file values at the CLI.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +34,6 @@ def _check_keys(section: str, given: dict, allowed) -> None:
         raise ConfigError(f"unknown key(s) in {section}: {unknown}")
 
 
-def _take(section: str, given: dict, key: str, default, kind=None):
-    value = given.get(key, default)
-    if kind is not None and value is not None and not isinstance(value, kind):
-        raise ConfigError(f"{section}.{key}: expected {kind}, got {type(value).__name__}")
-    return value
-
-
 @dataclass(frozen=True)
 class BlobsConfig:
     classes: int = 4
@@ -45,39 +43,12 @@ class BlobsConfig:
     separation: float = 3.0
     noise: float = 1.0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BlobsConfig":
-        _check_keys("data.blobs", d, ["classes", "train_per_class", "test_per_class",
-                                      "image_shape", "separation", "noise"])
-        base = cls()
-        return cls(
-            classes=int(_take("data.blobs", d, "classes", base.classes, int)),
-            train_per_class=int(_take("data.blobs", d, "train_per_class",
-                                      base.train_per_class, int)),
-            test_per_class=int(_take("data.blobs", d, "test_per_class",
-                                     base.test_per_class, int)),
-            image_shape=tuple(_take("data.blobs", d, "image_shape",
-                                    list(base.image_shape), list)),
-            separation=float(_take("data.blobs", d, "separation",
-                                   base.separation, (int, float))),
-            noise=float(_take("data.blobs", d, "noise", base.noise, (int, float))),
-        )
-
 
 @dataclass(frozen=True)
 class SubsetConfig:
     classes: tuple
     train_per_class: int
     test_per_class: int
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SubsetConfig":
-        _check_keys("data.subset", d, ["classes", "train_per_class", "test_per_class"])
-        if "classes" not in d or "train_per_class" not in d or "test_per_class" not in d:
-            raise ConfigError("data.subset needs classes, train_per_class, test_per_class")
-        return cls(classes=tuple(int(c) for c in d["classes"]),
-                   train_per_class=int(d["train_per_class"]),
-                   test_per_class=int(d["test_per_class"]))
 
 
 @dataclass(frozen=True)
@@ -93,85 +64,108 @@ class DataConfig:
     blobs: BlobsConfig = field(default_factory=BlobsConfig)
     subset: SubsetConfig | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DataConfig":
-        _check_keys("data", d, ["dataset", "data_dir", "url", "sha256", "gcn", "zca",
-                                "zca_eps", "flip", "blobs", "subset"])
-        dataset = _take("data", d, "dataset", "blobs", str)
-        if dataset not in ("blobs", "cifar10"):
-            raise ConfigError(f"data.dataset: unknown dataset {dataset!r}")
-        return cls(
-            dataset=dataset,
-            data_dir=_take("data", d, "data_dir", None, str),
-            url=_take("data", d, "url", None, str),
-            sha256=_take("data", d, "sha256", None, str),
-            gcn=bool(_take("data", d, "gcn", True, bool)),
-            zca=bool(_take("data", d, "zca", True, bool)),
-            zca_eps=float(_take("data", d, "zca_eps", 1e-2, (int, float))),
-            flip=bool(_take("data", d, "flip", True, bool)),
-            blobs=BlobsConfig.from_dict(_take("data", d, "blobs", {}, dict)),
-            subset=(SubsetConfig.from_dict(d["subset"])
-                    if d.get("subset") is not None else None),
-        )
+    def __post_init__(self):
+        if self.dataset not in ("blobs", "cifar10"):
+            raise ValueError(f"unknown dataset {self.dataset!r}")
 
     def resolve_data_dir(self) -> str:
         return self.data_dir or os.environ.get("MSN_DATA_DIR", "data")
 
 
-_NETWORK_KEYS = ["family", "depth_k", "width_multiplier", "widen_factor",
-                 "attachment", "num_classes", "input_shape", "num_blocks"]
-
-_TRAIN_KEYS = ["iterations", "batch_size", "momentum", "lr", "lr_decay", "lr_period",
-               "eval_interval", "batching", "seed", "loss", "within_weight",
-               "distance_mode", "xi"]
-
-_XI_KEYS = ["initial", "decay", "window", "plateau_tol", "floor"]
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false",
+             str: "a string", tuple: "a list of integers"}
 
 
-def _network_from_dict(d: dict) -> NetworkSpec:
-    _check_keys("network", d, _NETWORK_KEYS)
-    if "family" not in d:
-        raise ConfigError("network.family is required")
-    kwargs = dict(d)
-    attachment = kwargs.get("attachment", [4])
-    if isinstance(attachment, str):
-        kwargs["attachment"] = NetworkSpec.attachment_for(attachment)
-    else:
-        kwargs["attachment"] = tuple(int(b) for b in attachment)
-    kwargs["input_shape"] = tuple(kwargs.get("input_shape", (32, 32, 3)))
+@functools.cache
+def _schema(cls) -> dict:
+    """Field name -> (type, required, nullable); ``X | None`` has type ``X``."""
+    schema, hints = {}, typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if isinstance(kind, types.UnionType):
+            (kind,) = (t for t in typing.get_args(kind) if t is not type(None))
+        required = f.default is MISSING and f.default_factory is MISSING
+        schema[f.name] = (kind, required, f.default is None)
+    return schema
+
+
+def _fields(cls, section: str, given, keys: dict, also=()) -> dict:
+    """Typed values for the fields of dataclass ``cls`` from the JSON object
+    ``given``. ``keys`` maps keys to fields; keys in ``also`` are allowed too,
+    and their values are left to the caller."""
+    if type(given) is not dict:
+        raise ConfigError(f"{section}: expected an object, got {json.dumps(given, default=repr)}")
+    _check_keys(section, given, [*keys, *also])
+    values, schema = {}, _schema(cls)
+    for key, name in keys.items():
+        kind, required, nullable = schema[name]
+        value = given.get(key)
+        if key not in given:
+            if required:
+                raise ConfigError(f"{section}.{key} is required")
+        elif value is None and nullable:
+            values[name] = None
+        elif dataclasses.is_dataclass(kind):
+            values[name] = _read(kind, f"{section}.{key}", value)
+        elif kind is tuple and type(value) is list and all(type(v) is int for v in value):
+            values[name] = tuple(value)
+        elif type(value) is kind or (kind is float and type(value) is int):
+            values[name] = kind(value)
+        else:
+            raise ConfigError(f"{section}.{key}: expected {_EXPECTED[kind]}, "
+                              f"got {json.dumps(value, default=repr)}")
+    return values
+
+
+def _build(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError reported for ``section``."""
     try:
-        return NetworkSpec(**kwargs)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"network: {exc}") from exc
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _read(cls, section: str, given):
+    """Dataclass ``cls`` from a JSON object whose keys are its fields."""
+    return _build(section, cls, **_fields(cls, section, given, {n: n for n in _schema(cls)}))
+
+
+# The train section is TrainConfig in another shape: "loss" sits beside the
+# fields, the xi_* fields sit in a nested "xi" block under these keys, and
+# flip_augment is data.flip. Reading and writing both use these two maps.
+_XI_KEYS = {"initial": "xi_initial", "decay": "xi_decay", "window": "xi_window",
+            "plateau_tol": "xi_plateau_tol", "floor": "xi_floor"}
+_TRAIN_FIELDS = {n: n for n in _schema(TrainConfig)
+                 if n not in _XI_KEYS.values() and n != "flip_augment"}
+_LOSSES = ("msl", "ce")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     network: NetworkSpec
     data: DataConfig
-    train_section: dict
+    train: TrainConfig  # within_weight as written; to_train_config applies the loss
+    loss_mode: str
     out_dir: str | None = None
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        _check_keys("config", d, ["network", "data", "train", "out_dir"])
+        top = _fields(cls, "config", d, {"out_dir": "out_dir"}, also=("network", "data", "train"))
         if "network" not in d or "train" not in d:
             raise ConfigError("config needs 'network' and 'train' sections")
-        train = dict(d["train"])
-        _check_keys("train", train, _TRAIN_KEYS)
-        if "iterations" not in train:
-            raise ConfigError("train.iterations is required")
-        xi = dict(train.get("xi", {}))
-        _check_keys("train.xi", xi, _XI_KEYS)
+        network, train = d["network"], d["train"]
+        if type(network) is dict and type(network.get("attachment")) is str:
+            mask = _build("network.attachment", NetworkSpec.attachment_for, network["attachment"])
+            network = {**network, "attachment": list(mask)}
+        values = _fields(TrainConfig, "train", train, _TRAIN_FIELDS, also=("loss", "xi"))
+        values.update(_fields(TrainConfig, "train.xi", train.get("xi", {}), _XI_KEYS))
         loss = train.get("loss", "msl")
-        if loss not in ("msl", "ce"):
+        if loss not in _LOSSES:
             raise ConfigError(f"train.loss: expected 'msl' or 'ce', got {loss!r}")
-        return cls(
-            network=_network_from_dict(dict(d.get("network", {}))),
-            data=DataConfig.from_dict(dict(d.get("data", {}))),
-            train_section=train,
-            out_dir=_take("config", d, "out_dir", None, str),
-        )
+        data = _read(DataConfig, "data", d.get("data", {}))
+        return cls(network=_read(NetworkSpec, "network", network), data=data,
+                   train=_build("train", TrainConfig, **values, flip_augment=data.flip),
+                   loss_mode=loss, **top)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -182,72 +176,29 @@ class RunConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: top level must be an object")
         return cls.from_dict(raw)
 
     def with_overrides(self, seed=None, out_dir=None, loss=None) -> "RunConfig":
-        train = dict(self.train_section)
+        if loss not in (None, *_LOSSES):
+            raise ConfigError(f"loss override must be 'msl' or 'ce', got {loss!r}")
+        train = self.train
         if seed is not None:
-            train["seed"] = int(seed)
-        if loss is not None:
-            if loss not in ("msl", "ce"):
-                raise ConfigError(f"loss override must be 'msl' or 'ce', got {loss!r}")
-            train["loss"] = loss
-        return RunConfig(network=self.network, data=self.data, train_section=train,
-                         out_dir=out_dir if out_dir is not None else self.out_dir)
-
-    @property
-    def loss_mode(self) -> str:
-        return self.train_section.get("loss", "msl")
+            train = _build("train", dataclasses.replace, train, seed=int(seed))
+        return dataclasses.replace(self, train=train, loss_mode=loss or self.loss_mode,
+                                   out_dir=self.out_dir if out_dir is None else out_dir)
 
     def to_train_config(self) -> TrainConfig:
-        t = self.train_section
-        xi = t.get("xi", {})
-        weight = float(t.get("within_weight", 1.0))
+        """The TrainConfig a run uses: loss "ce" zeroes within_weight."""
         if self.loss_mode == "ce":
-            weight = 0.0
-        try:
-            return TrainConfig(
-                iterations=int(t["iterations"]),
-                batch_size=int(t.get("batch_size", 128)),
-                momentum=float(t.get("momentum", 0.9)),
-                lr=float(t.get("lr", 0.01)),
-                lr_decay=float(t.get("lr_decay", 0.9)),
-                lr_period=int(t.get("lr_period", 20_000)),
-                eval_interval=int(t.get("eval_interval", 100)),
-                batching=t.get("batching", "shuffled"),
-                seed=int(t.get("seed", 0)),
-                within_weight=weight,
-                distance_mode=t.get("distance_mode", "euclidean"),
-                xi_initial=float(xi.get("initial", 0.5)),
-                xi_decay=float(xi.get("decay", 0.9)),
-                xi_window=int(xi.get("window", 100)),
-                xi_plateau_tol=float(xi.get("plateau_tol", 1e-3)),
-                xi_floor=float(xi.get("floor", 1e-4)),
-                flip_augment=self.data.flip,
-            )
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"train: {exc}") from exc
+            return dataclasses.replace(self.train, within_weight=0.0)
+        return self.train
 
     def resolved_dict(self) -> dict:
-        cfg = self.to_train_config()
-        return {
-            "network": asdict(self.network),
-            "data": asdict(self.data),
-            "train": {
-                "iterations": cfg.iterations, "batch_size": cfg.batch_size,
-                "momentum": cfg.momentum, "lr": cfg.lr, "lr_decay": cfg.lr_decay,
-                "lr_period": cfg.lr_period, "eval_interval": cfg.eval_interval,
-                "batching": cfg.batching, "seed": cfg.seed,
-                "loss": self.loss_mode, "within_weight": cfg.within_weight,
-                "distance_mode": cfg.distance_mode,
-                "xi": {"initial": cfg.xi_initial, "decay": cfg.xi_decay,
-                       "window": cfg.xi_window, "plateau_tol": cfg.xi_plateau_tol,
-                       "floor": cfg.xi_floor},
-            },
-            "out_dir": self.out_dir,
-        }
+        train = vars(self.to_train_config())
+        return {"network": asdict(self.network), "data": asdict(self.data),
+                "train": {**{k: train[n] for k, n in _TRAIN_FIELDS.items()}, "loss": self.loss_mode,
+                          "xi": {k: train[n] for k, n in _XI_KEYS.items()}},
+                "out_dir": self.out_dir}
 
     def resolved_json(self) -> str:
         return json.dumps(self.resolved_dict(), indent=2, sort_keys=True) + "\n"
@@ -260,15 +211,11 @@ class RunConfig:
 def split_blobs(ds: D.LabeledDataset, train_per_class: int, test_per_class: int):
     """Per class, the first ``train_per_class`` samples train and the next
     ``test_per_class`` test; both splits keep class order."""
-    train_idx, test_idx = [], []
-    for c in range(ds.num_classes):
-        idx = np.flatnonzero(ds.labels == c)
-        train_idx.append(idx[:train_per_class])
-        test_idx.append(idx[train_per_class:train_per_class + test_per_class])
-    train = ds.take(np.concatenate(train_idx))
-    test = ds.take(np.concatenate(test_idx))
-    return (D.LabeledDataset(train.images, train.labels, ds.num_classes, "train"),
-            D.LabeledDataset(test.images, test.labels, ds.num_classes, "test"))
+    per_class = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]
+    train = np.concatenate([idx[:train_per_class] for idx in per_class])
+    test = np.concatenate([idx[train_per_class:][:test_per_class] for idx in per_class])
+    return (dataclasses.replace(ds.take(train), split="train"),
+            dataclasses.replace(ds.take(test), split="test"))
 
 
 def load_datasets(config: RunConfig):
@@ -276,17 +223,17 @@ def load_datasets(config: RunConfig):
 
     Blobs derive from the training seed so that loss-mode A/B runs at one seed
     share the exact dataset. CIFAR-10 is read from the resolved data dir and
-    must already be fetched. GCN and ZCA (fit on the training split) apply
-    here; flips happen at batch time inside the trainer.
+    must already be fetched. The images must fit the network's input shape
+    and class count. GCN and ZCA (fit on the training split) apply here;
+    flips happen at batch time inside the trainer.
     """
-    dc = config.data
-    seed = config.to_train_config().seed
+    dc, spec = config.data, config.network
     if dc.dataset == "blobs":
         b = dc.blobs
         total = b.train_per_class + b.test_per_class
-        ds = D.synthetic_blobs(b.classes, total, image_shape=b.image_shape,
-                               separation=b.separation, noise=b.noise,
-                               rng=np.random.default_rng((seed, 9000)))
+        ds = _build("data.blobs", D.synthetic_blobs, b.classes, total,
+                    image_shape=b.image_shape, separation=b.separation, noise=b.noise,
+                    rng=np.random.default_rng((config.train.seed, 9000)))
         train, test = split_blobs(ds, b.train_per_class, b.test_per_class)
     else:
         data_dir = dc.resolve_data_dir()
@@ -298,16 +245,18 @@ def load_datasets(config: RunConfig):
         if dc.subset is not None:
             train = D.subset_per_class(train, dc.subset.classes, dc.subset.train_per_class)
             test = D.subset_per_class(test, dc.subset.classes, dc.subset.test_per_class)
+    if train.images.shape[1:] != spec.input_shape:
+        raise ConfigError(f"data: image shape {train.images.shape[1:]} is not "
+                          f"network.input_shape {spec.input_shape}")
+    if train.num_classes > spec.num_classes:
+        raise ConfigError(f"data: {train.num_classes} classes exceed "
+                          f"network.num_classes {spec.num_classes}")
 
     if dc.gcn:
-        train = D.LabeledDataset(D.global_contrast_normalize(train.images),
-                                 train.labels, train.num_classes, "train")
-        test = D.LabeledDataset(D.global_contrast_normalize(test.images),
-                                test.labels, test.num_classes, "test")
+        train, test = (dataclasses.replace(ds, images=D.global_contrast_normalize(ds.images))
+                       for ds in (train, test))
     if dc.zca:
         transform = D.zca_fit(train.images, eps=dc.zca_eps)
-        train = D.LabeledDataset(D.zca_apply(transform, train.images),
-                                 train.labels, train.num_classes, "train")
-        test = D.LabeledDataset(D.zca_apply(transform, test.images),
-                                test.labels, test.num_classes, "test")
+        train, test = (dataclasses.replace(ds, images=D.zca_apply(transform, ds.images))
+                       for ds in (train, test))
     return train, test

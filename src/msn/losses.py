@@ -15,6 +15,7 @@ import numpy as np
 from .tensor import NonFiniteError
 
 ZERO_DISTANCE_GUARD = 1e-12
+DISTANCE_MODES = ("euclidean", "componentwise")
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,12 @@ class XiState:
     history: deque = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.initial_xi <= 0 or not (0 < self.decay < 1) or self.window < 1:
-            raise ValueError("xi parameters out of range")
+        if self.initial_xi <= 0:
+            raise ValueError(f"xi initial must be positive, got {self.initial_xi}")
+        if not (0 < self.decay < 1):
+            raise ValueError(f"xi decay must lie in (0, 1), got {self.decay}")
+        if self.window < 1:
+            raise ValueError(f"xi window must be at least 1, got {self.window}")
         self.xi = self.initial_xi
         self.history = deque(maxlen=2 * self.window)
 

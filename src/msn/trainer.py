@@ -14,7 +14,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import LabeledDataset, class_aware_batch_indices, random_flip
-from .losses import XiState
+from .losses import DISTANCE_MODES, XiState
 from .network import NetworkSpec, NetworkState, attach_msn_loss, build_network, forward_heads, predict
 from .tensor import NonFiniteError
 
@@ -71,6 +71,10 @@ class TrainConfig:
             raise ValueError("seed must be non-negative")
         if self.within_weight < 0:
             raise ValueError("within_weight must be non-negative")
+        if self.distance_mode not in DISTANCE_MODES:
+            raise ValueError(f"distance_mode must be one of {DISTANCE_MODES}, "
+                             f"got {self.distance_mode!r}")
+        self.xi_factory()  # XiState's own range check on the xi_* fields
 
     def xi_factory(self) -> XiState:
         return XiState(initial_xi=self.xi_initial, decay=self.xi_decay,

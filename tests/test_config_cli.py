@@ -112,6 +112,119 @@ BLOBS_SMALL_RESOLVED = """\
 }
 """
 
+# The exact config.resolved.json written for configs/cifar_subset.json; it
+# pins how a subset, zca_eps and a resnet spec are written.
+CIFAR_SUBSET_RESOLVED = """\
+{
+  "data": {
+    "blobs": {
+      "classes": 4,
+      "image_shape": [
+        8,
+        8,
+        1
+      ],
+      "noise": 1.0,
+      "separation": 3.0,
+      "test_per_class": 100,
+      "train_per_class": 500
+    },
+    "data_dir": null,
+    "dataset": "cifar10",
+    "flip": true,
+    "gcn": true,
+    "sha256": null,
+    "subset": {
+      "classes": [
+        0,
+        1
+      ],
+      "test_per_class": 100,
+      "train_per_class": 500
+    },
+    "url": null,
+    "zca": true,
+    "zca_eps": 0.01
+  },
+  "network": {
+    "attachment": [
+      4
+    ],
+    "depth_k": 1,
+    "family": "resnet",
+    "input_shape": [
+      32,
+      32,
+      3
+    ],
+    "num_blocks": 4,
+    "num_classes": 2,
+    "widen_factor": 10,
+    "width_multiplier": 0.5
+  },
+  "out_dir": null,
+  "train": {
+    "batch_size": 64,
+    "batching": "class-aware",
+    "distance_mode": "euclidean",
+    "eval_interval": 500,
+    "iterations": 3000,
+    "loss": "msl",
+    "lr": 0.01,
+    "lr_decay": 0.9,
+    "lr_period": 20000,
+    "momentum": 0.9,
+    "seed": 0,
+    "within_weight": 1.0,
+    "xi": {
+      "decay": 0.9,
+      "floor": 0.0001,
+      "initial": 0.5,
+      "plateau_tol": 0.001,
+      "window": 100
+    }
+  }
+}
+"""
+
+# Each value has the wrong JSON type or is out of range for its field.
+BAD_VALUES = [
+    pytest.param(lambda d: d["train"].update(batch_size=9.7), "train.batch_size",
+                 id="train.batch_size=9.7"),
+    pytest.param(lambda d: d["train"].update(iterations=True), "train.iterations",
+                 id="train.iterations=true"),
+    pytest.param(lambda d: d["train"].update(lr="0.1"), "train.lr", id="train.lr='0.1'"),
+    pytest.param(lambda d: d["train"].update(seed=0.5), "train.seed", id="train.seed=0.5"),
+    pytest.param(lambda d: d["train"].update(xi=[]), "train.xi", id="train.xi=[]"),
+    pytest.param(lambda d: d["train"].update(distance_mode="manhattan"), "distance_mode",
+                 id="train.distance_mode=manhattan"),
+    pytest.param(lambda d: d["train"]["xi"].update(window=0), "window",
+                 id="train.xi.window=0"),
+    pytest.param(lambda d: d["network"].update(num_classes="3"), "network.num_classes",
+                 id="network.num_classes='3'"),
+    pytest.param(lambda d: d["network"].update(width_multiplier="x"),
+                 "network.width_multiplier", id="network.width_multiplier='x'"),
+    pytest.param(lambda d: d["network"].update(attachment=5), "network.attachment",
+                 id="network.attachment=5"),
+    pytest.param(lambda d: d["network"].update(attachment="config9"), "network.attachment",
+                 id="network.attachment=config9"),
+    pytest.param(lambda d: d["data"]["blobs"].update(classes=True), "data.blobs.classes",
+                 id="data.blobs.classes=true"),
+    pytest.param(lambda d: d["data"].update(subset={"classes": [0, 1], "train_per_class": 2.5,
+                                                    "test_per_class": 1}),
+                 "data.subset.train_per_class", id="data.subset.train_per_class=2.5"),
+]
+
+# Each config parses, but its data cannot be built or does not fit the network.
+BAD_DATA = [
+    pytest.param(lambda d: d["data"]["blobs"].update(separation=0), "separation",
+                 id="data.blobs.separation=0"),
+    pytest.param(lambda d: d["data"]["blobs"].update(image_shape=[8, 8, 3]),
+                 "input_shape", id="data.blobs.image_shape=[8,8,3]"),
+    pytest.param(lambda d: d["data"]["blobs"].update(classes=4), "num_classes",
+                 id="data.blobs.classes=4"),
+]
+
 
 class TestConfigSchema:
     def test_minimal_parses(self):
@@ -177,6 +290,18 @@ class TestConfigSchema:
         path = Path(__file__).resolve().parents[1] / "configs" / "blobs_small.json"
         assert RunConfig.from_file(path).resolved_json() == BLOBS_SMALL_RESOLVED
 
+    def test_cifar_subset_resolved_json_is_pinned(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "cifar_subset.json"
+        assert RunConfig.from_file(path).resolved_json() == CIFAR_SUBSET_RESOLVED
+
+    @pytest.mark.parametrize("mutate,needle", BAD_VALUES)
+    def test_bad_values_rejected_by_name(self, mutate, needle):
+        raw = minimal_config()
+        mutate(raw)
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(raw)
+        assert needle in str(exc.value)
+
     def test_bad_network_reported_as_config_error(self):
         raw = minimal_config()
         raw["network"]["attachment"] = [4]  # outside 2 blocks
@@ -215,6 +340,14 @@ class TestLoadDatasets:
         train, test = load_datasets(cfg)
         # GCN then ZCA leaves per-image means near zero
         assert abs(train.images.reshape(len(train), -1).mean()) < 0.2
+
+    @pytest.mark.parametrize("mutate,needle", BAD_DATA)
+    def test_bad_data_rejected_by_name(self, mutate, needle):
+        raw = minimal_config()
+        mutate(raw)
+        with pytest.raises(ConfigError) as exc:
+            load_datasets(RunConfig.from_dict(raw))
+        assert needle in str(exc.value)
 
     def test_missing_cifar_reports_config_error(self, tmp_path):
         raw = minimal_config()
@@ -331,6 +464,15 @@ class TestCliTrainEval:
         raw["train"]["warmup"] = 5
         config_path = write_config(tmp_path, raw)
         assert run_cli(["train", "--config", str(config_path)]) == 1
+
+    @pytest.mark.parametrize("mutate,needle", BAD_VALUES + BAD_DATA)
+    def test_bad_config_exits_1_without_run_dir(self, tmp_path, mutate, needle):
+        raw = minimal_config()
+        mutate(raw)
+        out = tmp_path / "out"
+        assert run_cli(["train", "--config", str(write_config(tmp_path, raw)),
+                        "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_eval_prints_error_and_repeats(self, tmp_path, capsys):
         config_path = write_config(tmp_path, minimal_config())

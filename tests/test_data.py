@@ -171,12 +171,6 @@ class TestBatches:
         with pytest.raises(ValueError):
             D.class_aware_batch_indices(ds.labels, 1, np.random.default_rng(0))
 
-    def test_unknown_mode(self):
-        ds = D.synthetic_blobs(2, 4, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            batch_indices_for_iteration(
-                ds, TrainConfig(iterations=0, batch_size=2, batching="bogus"), 0)
-
 
 # ---------------------------------------------------------------------------
 # synthetic blobs

@@ -124,14 +124,6 @@ class TestSgdMomentum:
 
 
 class TestBatchSelection:
-    def test_shuffled_epoch_partitions(self):
-        ds = tiny_blobs()
-        cfg = tiny_config(batching="shuffled", batch_size=8)
-        per_epoch = (len(ds) + 7) // 8
-        seen = np.concatenate([batch_indices_for_iteration(ds, cfg, i)
-                               for i in range(per_epoch)])
-        assert sorted(seen.tolist()) == list(range(len(ds)))
-
     def test_deterministic_per_iteration(self):
         ds = tiny_blobs()
         cfg = tiny_config()
@@ -284,7 +276,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         dict(momentum=1.0), dict(momentum=-0.1), dict(lr=0.0), dict(batch_size=0),
         dict(iterations=-1), dict(batching="sorted"), dict(lr_decay=0.0),
-        dict(seed=-1), dict(within_weight=-1.0),
+        dict(seed=-1), dict(within_weight=-1.0), dict(distance_mode="manhattan"),
+        dict(xi_window=0),
     ])
     def test_rejects(self, bad):
         kwargs = {"iterations": 1, **bad}
