@@ -77,6 +77,10 @@ class XiState:
             raise ValueError(f"xi decay must lie in (0, 1), got {self.decay}")
         if self.window < 1:
             raise ValueError(f"xi window must be at least 1, got {self.window}")
+        if self.plateau_tol < 0:
+            raise ValueError(f"xi plateau_tol must be non-negative, got {self.plateau_tol}")
+        if self.floor < 0:
+            raise ValueError(f"xi floor must be non-negative, got {self.floor}")
         self.xi = self.initial_xi
         self.history = deque(maxlen=2 * self.window)
 

@@ -23,12 +23,15 @@ import numpy as np
 from .losses import LogitBatch, LossBreakdown, XiState, msl_total
 from .tensor import (
     Tensor,
+    _result,
+    _with_backward,
     accumulate_grad,
     batch_norm,
     conv2d,
     global_average_pool,
     linear,
     max_pool2,
+    no_grad,
     relu,
     residual_add,
 )
@@ -91,6 +94,9 @@ class NetworkSpec:
         object.__setattr__(self, "attachment", mask)
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
+        if len(self.input_shape) != 3:
+            raise ValueError(
+                f"input_shape must be (height, width, channels), got {self.input_shape}")
         h, w, _ = self.input_shape
         factor = 2 ** (self.num_blocks - 1)
         if h % factor or w % factor:
@@ -353,18 +359,19 @@ def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,
     dtype = logit_tensors[0].data.dtype
     with np.errstate(over="ignore"):  # diverged losses saturate to inf, caught upstream
         value = np.asarray(aggregate.total, dtype=dtype)
-    out = Tensor(value,
-                 requires_grad=any(t.requires_grad for t in logit_tensors),
-                 _prev=tuple(logit_tensors), op="msn_loss")
+    out = _result(value, logit_tensors, "msn_loss")
 
     def _bw():
         for t, g in zip(logit_tensors, grads):
             accumulate_grad(t, out.grad * g)
 
-    out._backward = _bw
-    return out, aggregate, per_head
+    return _with_backward(out, _bw), aggregate, per_head
 
 
 def predict(state: NetworkState, images) -> np.ndarray:
-    """Class indices from the deepest head's logits (ties: lowest index)."""
-    return forward_heads(state, images, mode="infer")[-1].data.argmax(axis=1)
+    """Class indices from the deepest head's logits (ties: lowest index).
+
+    Runs under ``no_grad``: no graph is built, so nothing outlives the call.
+    """
+    with no_grad():
+        return forward_heads(state, images, mode="infer")[-1].data.argmax(axis=1)

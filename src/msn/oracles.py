@@ -46,6 +46,25 @@ def max_pool2_loops(x):
     return out
 
 
+def max_pool2_grad_loops(x, g):
+    """Input gradient of 2x2 max pooling: each window's output gradient ``g``
+    goes to the first maximum in row-major order, zero elsewhere."""
+    n, h, w, c = x.shape
+    out = np.zeros((n, h, w, c), dtype=np.float64)
+    for b in range(n):
+        for i in range(h // 2):
+            for j in range(w // 2):
+                for ch in range(c):
+                    best = None
+                    for di in range(2):
+                        for dj in range(2):
+                            v = x[b, 2 * i + di, 2 * j + dj, ch]
+                            if best is None or v > best[0]:
+                                best = (v, di, dj)
+                    out[b, 2 * i + best[1], 2 * j + best[2], ch] = g[b, i, j, ch]
+    return out
+
+
 def gap_loops(x):
     n, h, w, c = x.shape
     out = np.zeros((n, c), dtype=np.float64)

@@ -5,10 +5,16 @@ Layout conventions (fixed everywhere in this package):
   conv kernels (Kh, Kw, Ci, Co)   kernel height/width, in-channels, out-channels
 
 Training runs in float32; gradient checking requires float64 (see grad_check).
+
+Ops record their inputs and a backward closure only when the result needs a
+gradient; inside ``no_grad()`` none does, so a forward pass builds no graph. A
+graph can be backpropagated once: ``Tensor.backward`` releases it as it goes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,12 +33,35 @@ def check_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"non-finite values in {what}")
 
 
+def _no_backward() -> None:
+    pass
+
+
+def _released() -> None:
+    raise RuntimeError("backward() through a graph that was already backpropagated; "
+                       "each graph can be backpropagated once, so run the forward pass again")
+
+
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within this block ops build no graph: results record no inputs, attach
+    no backward closure and have ``requires_grad`` False. Values are unchanged."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
+
+
 class Tensor:
     """A dense array plus its gradient and the provenance needed for backprop.
 
     ``data`` and ``grad`` always share shape and dtype. ``_prev`` holds the
     input tensors of the producing op and ``_backward`` accumulates gradients
-    into them; leaves have no provenance.
+    into them; leaves, and results that need no gradient, have no provenance.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_prev", "_backward")
@@ -48,7 +77,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.op = op
         self._prev = _prev
-        self._backward: Callable[[], None] = lambda: None
+        self._backward: Callable[[], None] = _no_backward
 
     @property
     def shape(self) -> tuple:
@@ -65,7 +94,13 @@ class Tensor:
         """Reverse accumulation from this node, visiting each node exactly once.
 
         ``seed`` defaults to 1 for scalars; non-scalar roots must supply one.
+        Each node drops its backward closure and its inputs once the closure
+        has run, so the graph is freed by reference counting when this returns
+        (the closure refers to its own node, a cycle otherwise left to the
+        cyclic collector). A second call through a released graph raises.
         """
+        if self._backward is _released:
+            _released()
         if seed is None:
             if self.data.ndim != 0:
                 raise ValueError("backward() on a non-scalar tensor needs an explicit seed")
@@ -77,8 +112,12 @@ class Tensor:
 
         order = _topo_order(self)
         self.grad = seed if self.grad is None else self.grad + seed
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             node._backward()
+            if node._prev:
+                node._prev = ()
+                node._backward = _released
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -113,8 +152,18 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], op: str) -> Tensor:
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, _prev=tuple(parents), op=op)
+    """The output node of an op; it records its inputs only if it needs a gradient."""
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, _prev=tuple(parents), op=op)
+    return Tensor(data, op=op)
+
+
+def _with_backward(out: Tensor, backward: Callable[[], None]) -> Tensor:
+    """``out`` with ``backward`` as its closure if it needs a gradient; otherwise
+    the closure, and every buffer it holds, is dropped here."""
+    if out.requires_grad:
+        out._backward = backward
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +175,13 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     img = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
-    cols = np.empty((n, oh, ow, kh, kw, ci), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, :, i, j, :] = img[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :]
-    return cols.reshape(n * oh * ow, kh * kw * ci), oh, ow
+    # one read-only (n, oh, ow, kh, kw, ci) window view of the padded input;
+    # the reshape makes the one contiguous copy (or none, for a 1x1 kernel)
+    s0, s1, s2, s3 = img.strides
+    windows = np.lib.stride_tricks.as_strided(
+        img, shape=(n, oh, ow, kh, kw, ci),
+        strides=(s0, stride * s1, stride * s2, s1, s2, s3), writeable=False)
+    return windows.reshape(n * oh * ow, kh * kw * ci), oh, ow
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -179,8 +230,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
                         gcols[:, :, :, i, j, :]
             accumulate_grad(x, gimg[:, pad:pad + h, pad:pad + w, :])
 
-    out._backward = _bw
-    return out
+    return _with_backward(out, _bw)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -190,8 +240,7 @@ def relu(x: Tensor) -> Tensor:
     def _bw():
         accumulate_grad(x, out.grad * (x.data > 0))
 
-    out._backward = _bw
-    return out
+    return _with_backward(out, _bw)
 
 
 def max_pool2(x: Tensor) -> Tensor:
@@ -201,20 +250,21 @@ def max_pool2(x: Tensor) -> Tensor:
     n, h, w, c = x.shape
     if h % 2 or w % 2:
         raise ShapeMismatchError(f"max_pool2 needs even spatial extents, got {x.shape}")
-    h2, w2 = h // 2, w // 2
-    win = x.data.reshape(n, h2, 2, w2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, 4, c)
-    idx = win.argmax(axis=3)
-    out_data = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    out = _result(out_data, (x,), "max_pool2")
+    win = x.data.reshape(n, h // 2, 2, w // 2, 2, c)
+    rows = np.maximum(win[:, :, :, :, 0], win[:, :, :, :, 1])  # each window row's max
+    out = _result(np.maximum(rows[:, :, 0], rows[:, :, 1]), (x,), "max_pool2")
 
     def _bw():
-        gwin = np.zeros((n, h2, w2, 4, c), dtype=out.grad.dtype)
-        np.put_along_axis(gwin, idx[:, :, :, None, :], out.grad[:, :, :, None, :], axis=3)
-        gx = gwin.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h, w, c)
-        accumulate_grad(x, gx)
+        # the first row-major max: row 0 unless row 1's max is larger, then
+        # column 0 of that row unless column 1 is larger
+        row0 = rows[:, :, 0] >= rows[:, :, 1]
+        col0 = win[:, :, :, :, 0] >= win[:, :, :, :, 1]
+        g = out.grad
+        g_rows = np.stack((g * row0, g * ~row0), axis=2)
+        gx = np.stack((g_rows * col0, g_rows * ~col0), axis=4)
+        accumulate_grad(x, gx.reshape(n, h, w, c))
 
-    out._backward = _bw
-    return out
+    return _with_backward(out, _bw)
 
 
 def global_average_pool(x: Tensor) -> Tensor:
@@ -228,8 +278,7 @@ def global_average_pool(x: Tensor) -> Tensor:
         g = out.grad[:, None, None, :] / (h * w)
         accumulate_grad(x, np.broadcast_to(g, (n, h, w, c)))
 
-    out._backward = _bw
-    return out
+    return _with_backward(out, _bw)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -254,8 +303,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             accumulate_grad(bias, g.sum(axis=0))
 
-    out._backward = _bw
-    return out
+    return _with_backward(out, _bw)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -312,8 +360,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             else:
                 accumulate_grad(x, g * gamma.data * inv_std)
 
-    out._backward = _bw
-    return out
+    return _with_backward(out, _bw)
 
 
 def residual_add(a: Tensor, b: Tensor) -> Tensor:
@@ -327,8 +374,7 @@ def residual_add(a: Tensor, b: Tensor) -> Tensor:
         accumulate_grad(a, out.grad)
         accumulate_grad(b, out.grad)
 
-    out._backward = _bw
-    return out
+    return _with_backward(out, _bw)
 
 
 def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
@@ -345,8 +391,7 @@ def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
     def _bw():
         accumulate_grad(x, out.grad * weights)
 
-    out._backward = _bw
-    return out
+    return _with_backward(out, _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +424,8 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[np.ndarray],
         check_finite(g, "reverse-mode gradient")
 
     def eval_at(pts: list[np.ndarray]) -> float:
-        v = f(*[Tensor(p) for p in pts]).data
+        with no_grad():
+            v = f(*[Tensor(p) for p in pts]).data
         check_finite(v, "grad_check evaluation")
         return float(v)
 

@@ -212,6 +212,16 @@ def oracle_suite(seed: int = 0) -> list:
         brute = oracles.within_class_brute(q, y, 0.5)
         worst = max(worst, abs(loss - brute) / max(1.0, abs(brute)))
     results.append(CheckResult("oracle/within_class_vs_all_pairs", worst, 1e-10))
+
+    # Values drawn from {0, 1, 2}, so most windows hold ties, and the first
+    # window of each image is all zeros, as after a ReLU.
+    x = rng.integers(0, 3, (2, 8, 8, 3)).astype(np.float64)
+    x[:, :2, :2, :] = 0.0
+    g = rng.standard_normal((2, 4, 4, 3))
+    t = Tensor(x, requires_grad=True)
+    max_pool2(t).backward(g)
+    results.append(CheckResult("oracle/max_pool2_grad_vs_loops",
+                               _rel(t.grad, oracles.max_pool2_grad_loops(x, g)), 0.0))
     return results
 
 

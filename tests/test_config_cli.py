@@ -200,6 +200,10 @@ BAD_VALUES = [
                  id="train.distance_mode=manhattan"),
     pytest.param(lambda d: d["train"]["xi"].update(window=0), "window",
                  id="train.xi.window=0"),
+    pytest.param(lambda d: d["train"]["xi"].update(floor=-1), "floor",
+                 id="train.xi.floor=-1"),
+    pytest.param(lambda d: d["train"]["xi"].update(plateau_tol=-1), "plateau_tol",
+                 id="train.xi.plateau_tol=-1"),
     pytest.param(lambda d: d["network"].update(num_classes="3"), "network.num_classes",
                  id="network.num_classes='3'"),
     pytest.param(lambda d: d["network"].update(width_multiplier="x"),
@@ -208,6 +212,8 @@ BAD_VALUES = [
                  id="network.attachment=5"),
     pytest.param(lambda d: d["network"].update(attachment="config9"), "network.attachment",
                  id="network.attachment=config9"),
+    pytest.param(lambda d: d["network"].update(input_shape=[8, 8]), "input_shape",
+                 id="network.input_shape=[8,8]"),
     pytest.param(lambda d: d["data"]["blobs"].update(classes=True), "data.blobs.classes",
                  id="data.blobs.classes=true"),
     pytest.param(lambda d: d["data"].update(subset={"classes": [0, 1], "train_per_class": 2.5,

@@ -1,8 +1,12 @@
 """Builders, head attachment, loss averaging, and end-to-end gradient flow."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from msn import network
 from msn.losses import LogitBatch, XiState, msl_total
 from msn.network import (
     ATTACHMENT_CONFIGS,
@@ -13,7 +17,7 @@ from msn.network import (
     msn_loss,
     predict,
 )
-from msn.tensor import Tensor, grad_check
+from msn.tensor import Tensor, conv2d, grad_check, no_grad
 
 
 def small_spec(**overrides):
@@ -259,6 +263,43 @@ class TestEndToEnd:
             return loss
 
         assert grad_check(f, arrays) <= 1e-4
+
+
+class TestGraphLifetime:
+    def test_trunk_freed_without_the_cyclic_collector(self, rng, monkeypatch):
+        state = build_network(small_spec(), seed=0)
+        images = rng.standard_normal((6, 8, 8, 1)).astype(np.float32)
+        labels = np.array([0, 0, 1, 1, 2, 2])
+        trunk = []  # weak references to every conv output's values
+
+        def traced_conv2d(*args, **kwargs):
+            out = conv2d(*args, **kwargs)
+            trunk.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(network, "conv2d", traced_conv2d)
+        gc.disable()
+        try:
+            predict(state, images)
+            assert len(trunk) == 7 and all(r() is None for r in trunk)
+            trunk.clear()
+            logits = forward_heads(state, images, mode="train")
+            loss, _, _ = attach_msn_loss(logits, labels, [h.xi_state for h in state.heads],
+                                         update_xi=False)
+            assert len(trunk) == 7 and all(r() is not None for r in trunk)
+            loss.backward()
+            assert all(r() is None for r in trunk)
+        finally:
+            gc.enable()
+
+    def test_loss_under_no_grad_has_no_graph(self, rng):
+        state = build_network(small_spec(), seed=0)
+        images = rng.standard_normal((6, 8, 8, 1)).astype(np.float32)
+        with no_grad():
+            logits = forward_heads(state, images, mode="train")
+            loss, _, _ = attach_msn_loss(logits, np.array([0, 0, 1, 1, 2, 2]),
+                                         [h.xi_state for h in state.heads], update_xi=False)
+        assert not loss.requires_grad and loss._prev == ()
 
 
 class TestPredict:

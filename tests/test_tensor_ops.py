@@ -1,6 +1,7 @@
 """Forward-path checks of the layer ops against naive loop oracles."""
 
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from msn import oracles
 from msn.tensor import (
     ShapeMismatchError,
     Tensor,
+    _im2col,
     batch_norm,
     conv2d,
     global_average_pool,
@@ -80,6 +82,41 @@ class TestConv2d:
         assert rel_err(lhs, rhs) <= 1e-5
 
 
+def im2col_slices(x, kh, kw, stride, pad):
+    """Column matrix built one kernel offset at a time, rows (n, oh, ow),
+    columns (kh, kw, ci)."""
+    n, h, w, ci = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    img = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    cols = np.empty((n, oh, ow, kh, kw, ci), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i, j, :] = img[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :]
+    return cols.reshape(n * oh * ow, kh * kw * ci), oh, ow
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_slice_loop_exactly(self, rng, k, stride, pad, dtype):
+        # h = 7 and w = 6 give both parities of (extent + 2p - k), so with
+        # stride 2 one axis always drops its last row or column
+        x = rng.standard_normal((2, 7, 6, 3)).astype(dtype)
+        cols, oh, ow = _im2col(x, k, k, stride, pad)
+        expected, eoh, eow = im2col_slices(x, k, k, stride, pad)
+        assert (oh, ow) == (eoh, eow)
+        assert cols.dtype == dtype and cols.flags.c_contiguous
+        np.testing.assert_array_equal(cols, expected)
+
+    def test_non_contiguous_input(self, rng):
+        x = rng.standard_normal((2, 3, 6, 5)).transpose(0, 2, 3, 1)  # (2, 6, 5, 3)
+        cols, _, _ = _im2col(x, 3, 3, 2, 1)
+        np.testing.assert_array_equal(cols, im2col_slices(x, 3, 3, 2, 1)[0])
+
+
 class TestRelu:
     def test_basic(self):
         out = relu(Tensor(np.array([-1.0, 0.0, 2.0])))
@@ -111,6 +148,33 @@ class TestMaxPool2:
     def test_odd_extent_rejected(self):
         with pytest.raises(ShapeMismatchError):
             max_pool2(t64(np.zeros((1, 3, 4, 1))))
+
+    @staticmethod
+    def backward(x, g):
+        t = Tensor(x, requires_grad=True)
+        out = max_pool2(t)
+        np.testing.assert_array_equal(out.data, oracles.max_pool2_loops(x))
+        out.backward(g)
+        return t.grad
+
+    def test_every_tie_pattern_routes_like_the_loop_oracle(self, rng):
+        # every window over the values {0, 1, 2, 3}: all 15 ways the four
+        # entries can tie, each with every ordering of the tied groups
+        windows = np.array(list(itertools.product(range(4), repeat=4)), dtype=np.float64)
+        ties = {tuple(wd.index(v) for v in wd) for wd in windows.tolist()}
+        assert len(ties) == 15
+        m = len(windows)
+        x = windows.reshape(1, m, 2, 2).transpose(0, 2, 1, 3).reshape(1, 2, 2 * m, 1)
+        g = rng.standard_normal((1, 1, m, 1))
+        np.testing.assert_array_equal(self.backward(x, g), oracles.max_pool2_grad_loops(x, g))
+
+    def test_relu_zero_windows_route_like_the_loop_oracle(self, rng):
+        x = np.maximum(rng.standard_normal((3, 8, 8, 4)), 0.0)
+        x[:, :4, :4, :] = 0.0  # whole windows of zeros, as behind a dead ReLU
+        g = rng.standard_normal((3, 4, 4, 4))
+        grad = self.backward(x, g)
+        np.testing.assert_array_equal(grad, oracles.max_pool2_grad_loops(x, g))
+        np.testing.assert_array_equal(grad[:, 0:4:2, 0:4:2, :], g[:, :2, :2, :])
 
 
 class TestGlobalAveragePool:
