@@ -7,6 +7,8 @@ rank u8, extents as u32 LE each, raw values little-endian.
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -40,25 +42,44 @@ class DuplicateTensorError(CheckpointError):
 
 
 def write_tensors(path, tensors: dict) -> None:
-    """Serialize name -> float array, sorted by name for byte stability."""
+    """Serialize name -> float array, sorted by name for byte stability.
+
+    All or nothing: every tensor is checked before a byte is written, the
+    bytes go to a temporary file in the target's directory, and that file
+    replaces ``path`` only once it is flushed and synced. On any failure an
+    existing file at ``path`` is left as it was and the temporary file is
+    removed.
+    """
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", VERSION))
-        fh.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name])
-            if arr.dtype not in _DTYPE_CODES:
-                raise ValueError(f"{name}: unsupported dtype {arr.dtype}")
-            if not (1 <= arr.ndim <= 4):
-                raise ValueError(f"{name}: rank {arr.ndim} outside 1..4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
-            for extent in arr.shape:
-                fh.write(struct.pack("<I", extent))
-            fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+    arrays = []
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name])
+        if arr.dtype not in _DTYPE_CODES:
+            raise ValueError(f"{name}: unsupported dtype {arr.dtype}")
+        if not (1 <= arr.ndim <= 4):
+            raise ValueError(f"{name}: rank {arr.ndim} outside 1..4")
+        arrays.append((name, arr))
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<H", VERSION))
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays:
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
+                for extent in arr.shape:
+                    fh.write(struct.pack("<I", extent))
+                fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:

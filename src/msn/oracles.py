@@ -33,6 +33,26 @@ def conv2d_loops(x, kernel, bias, stride=1, pad=0):
     return out
 
 
+def conv2d_input_grad_loops(x, kernel, g, stride=1, pad=0):
+    """Input gradient of ``conv2d_loops`` for output gradient ``g``: each
+    output entry's gradient, times the kernel weight that joined it to an
+    input pixel, added into that pixel, zero padding dropped."""
+    n, h, w, ci = x.shape
+    kh, kw, _, co = kernel.shape
+    _, oh, ow, _ = g.shape
+    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, ci), dtype=np.float64)
+    for b in range(n):
+        for i in range(oh):
+            for j in range(ow):
+                for o in range(co):
+                    for di in range(kh):
+                        for dj in range(kw):
+                            for c in range(ci):
+                                padded[b, i * stride + di, j * stride + dj, c] += \
+                                    g[b, i, j, o] * kernel[di, dj, c, o]
+    return padded[:, pad:pad + h, pad:pad + w, :]
+
+
 def max_pool2_loops(x):
     n, h, w, c = x.shape
     out = np.zeros((n, h // 2, w // 2, c), dtype=np.float64)

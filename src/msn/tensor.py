@@ -212,7 +212,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
 
     cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
     wmat = kernel.data.reshape(kh * kw * ci, co)
-    out2d = cols @ wmat + bias.data
+    out2d = cols @ wmat
+    out2d += bias.data
     out = _result(out2d.reshape(n, oh, ow, co), (x, kernel, bias), "conv2d")
 
     def _bw():
@@ -222,12 +223,19 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         if kernel.requires_grad:
             accumulate_grad(kernel, (cols.T @ g2d).reshape(kh, kw, ci, co))
         if x.requires_grad:
-            gcols = (g2d @ wmat.T).reshape(n, oh, ow, kh, kw, ci)
+            # one GEMM per kernel tap, so each add below reads one contiguous
+            # tap. An entry is the dot product over co that the column matrix
+            # g2d @ wmat.T holds, and each pixel adds its taps in (i, j) order
+            # from zero: where BLAS sums a dot product alike for both shapes
+            # (every layer of the shipped networks) the bits equal a column
+            # scatter's
+            gtaps = np.matmul(g2d, wmat.reshape(kh * kw, ci, co).transpose(0, 2, 1))
+            gtaps = gtaps.reshape(kh, kw, n, oh, ow, ci)
             gimg = np.zeros((n, h + 2 * pad, w + 2 * pad, ci), dtype=out.grad.dtype)
             for i in range(kh):
                 for j in range(kw):
                     gimg[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :] += \
-                        gcols[:, :, :, i, j, :]
+                        gtaps[i, j]
             accumulate_grad(x, gimg[:, pad:pad + h, pad:pad + w, :])
 
     return _with_backward(out, _bw)

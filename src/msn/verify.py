@@ -222,6 +222,17 @@ def oracle_suite(seed: int = 0) -> list:
     max_pool2(t).backward(g)
     results.append(CheckResult("oracle/max_pool2_grad_vs_loops",
                                _rel(t.grad, oracles.max_pool2_grad_loops(x, g)), 0.0))
+
+    worst = 0.0
+    for stride, pad in [(1, 0), (1, 1), (2, 1)]:
+        x = rng.standard_normal((2, 6, 6, 3))
+        k = rng.standard_normal((3, 3, 3, 4))
+        t = Tensor(x, requires_grad=True)
+        out = conv2d(t, Tensor(k), Tensor(rng.standard_normal(4)), stride=stride, pad=pad)
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        worst = max(worst, _rel(t.grad, oracles.conv2d_input_grad_loops(x, k, g, stride, pad)))
+    results.append(CheckResult("oracle/conv2d_input_grad_vs_loops", worst, 1e-6))
     return results
 
 

@@ -96,3 +96,40 @@ def test_write_rejects_unsupported(tmp_path):
         C.write_tensors(tmp_path / "x.ckpt", {"a": np.zeros(3, dtype=np.int32)})
     with pytest.raises(ValueError):
         C.write_tensors(tmp_path / "y.ckpt", {"a": np.zeros((1, 1, 1, 1, 1))})
+
+
+def test_failed_write_leaves_existing_checkpoint_intact(tmp_path, rng):
+    path = tmp_path / "a.ckpt"
+    C.write_tensors(path, sample_tensors(rng))
+    before = path.read_bytes()
+    bad = dict(sample_tensors(rng), **{"zz.extra": np.zeros(3, dtype=np.int32)})
+    with pytest.raises(ValueError):
+        C.write_tensors(path, bad)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt"]
+    assert sorted(C.read_tensors(path)) == sorted(sample_tensors(rng))
+
+
+def test_write_error_mid_file_removes_temporary(tmp_path, rng, monkeypatch):
+    path = tmp_path / "a.ckpt"
+    C.write_tensors(path, sample_tensors(rng))
+    before = path.read_bytes()
+
+    def fail(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(C.os, "fsync", fail)
+    with pytest.raises(OSError, match="disk full"):
+        C.write_tensors(path, sample_tensors(rng))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt"]
+
+
+def test_overwrite_replaces_contents(tmp_path, rng):
+    path = tmp_path / "a.ckpt"
+    C.write_tensors(path, {"a": np.zeros(3)})
+    C.write_tensors(path, {"b": np.ones(2, dtype=np.float32)})
+    loaded = C.read_tensors(path)
+    assert list(loaded) == ["b"]
+    np.testing.assert_array_equal(loaded["b"], np.ones(2, dtype=np.float32))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt"]

@@ -58,6 +58,17 @@ class TestConv2d:
         expected = oracles.conv2d_loops(x, k, b, stride=stride, pad=pad)
         assert rel_err(out.data, expected) <= 1e-6
 
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 2)])
+    def test_input_grad_matches_loop_oracle(self, rng, stride, pad):
+        x = rng.standard_normal((2, 7, 6, 3))
+        k = rng.standard_normal((3, 3, 3, 4))
+        t = Tensor(x, requires_grad=True)
+        out = conv2d(t, t64(k), t64(rng.standard_normal(4)), stride=stride, pad=pad)
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        expected = oracles.conv2d_input_grad_loops(x, k, g, stride=stride, pad=pad)
+        assert rel_err(t.grad, expected) <= 1e-12
+
     def test_channel_mismatch_names_both_shapes(self):
         x = t64(np.zeros((1, 4, 4, 3)))
         k = t64(np.zeros((3, 3, 2, 4)))
@@ -115,6 +126,71 @@ class TestIm2col:
         x = rng.standard_normal((2, 3, 6, 5)).transpose(0, 2, 3, 1)  # (2, 6, 5, 3)
         cols, _, _ = _im2col(x, 3, 3, 2, 1)
         np.testing.assert_array_equal(cols, im2col_slices(x, 3, 3, 2, 1)[0])
+
+
+def conv2d_columns(x, kernel, bias, g, stride, pad):
+    """conv2d's output and its input, kernel and bias gradients for output
+    gradient ``g``, by the column formulation: one GEMM against the whole
+    (kh*kw*ci, co) weight matrix, its column matrix scattered back one
+    column slice at a time in (i, j) order."""
+    n, h, w, ci = x.shape
+    kh, kw, _, co = kernel.shape
+    cols, oh, ow = im2col_slices(x, kh, kw, stride, pad)
+    wmat = kernel.reshape(kh * kw * ci, co)
+    out = (cols @ wmat + bias).reshape(n, oh, ow, co)
+    g2d = g.reshape(n * oh * ow, co)
+    gcols = (g2d @ wmat.T).reshape(n, oh, ow, kh, kw, ci)
+    gimg = np.zeros((n, h + 2 * pad, w + 2 * pad, ci), dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gimg[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :] += \
+                gcols[:, :, :, i, j, :]
+    return (out, gimg[:, pad:pad + h, pad:pad + w, :],
+            (cols.T @ g2d).reshape(kernel.shape), g2d.sum(axis=0))
+
+
+class TestConv2dColumnsBitIdentity:
+    """conv2d computes its input gradient with one GEMM per kernel tap. Each
+    entry is the same dot product over co as in the column formulation, and
+    each pixel adds its taps in the same order, so the bits agree as long as
+    BLAS computes a dot product the same way in both GEMM shapes. That holds
+    for the shapes below and every trunk layer of the shipped configs. It
+    does not hold everywhere: with OpenBLAS 0.3.31 (AVX-512 kernels), ci = 1
+    (numpy sends a one-column product to gemv) and some products with
+    co >= 32 and few rows differ in the last bits."""
+
+    @staticmethod
+    def check(rng, x_shape, k, co, stride, pad, dtype):
+        x = rng.standard_normal(x_shape).astype(dtype)
+        kernel = rng.standard_normal((k, k, x_shape[3], co)).astype(dtype)
+        bias = rng.standard_normal(co).astype(dtype)
+        tx, tk, tb = (Tensor(a, requires_grad=True) for a in (x, kernel, bias))
+        out = conv2d(tx, tk, tb, stride=stride, pad=pad)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        expected = conv2d_columns(x, kernel, bias, g, stride, pad)
+        out_data = out.data
+        out.backward(g)
+        for got, want in zip((out_data, tx.grad, tk.grad, tb.grad), expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_column_formulation_exactly(self, rng, k, stride, pad, dtype):
+        self.check(rng, (2, 7, 6, 3), k, 4, stride, pad, dtype)
+
+    # (input shape, out-channels) of every 3x3 conv whose input needs a
+    # gradient in the networks of configs/blobs_small.json and
+    # configs/cifar_subset.json, at their batch size of 64
+    @pytest.mark.parametrize("x_shape,co", [
+        ((64, 8, 8, 4), 4), ((64, 4, 4, 4), 8), ((64, 4, 4, 8), 8),
+        ((64, 16, 16, 8), 8), ((64, 8, 8, 8), 16), ((64, 8, 8, 16), 16),
+        ((64, 4, 4, 16), 32), ((64, 4, 4, 32), 32),
+    ])
+    def test_network_layers_match_column_formulation_exactly(self, rng, x_shape, co):
+        self.check(rng, x_shape, 3, co, 1, 1, np.float32)
 
 
 class TestRelu:
