@@ -31,7 +31,7 @@ def run_once(seed, mode, args):
                          rng=np.random.default_rng((seed, 9000)))
     train_ds, test_ds = split_blobs(ds, args.train_per_class, args.test_per_class)
     result = train(config, spec, train_ds)
-    rows = result.log.rows
+    rows = result.rows
     late = np.polyfit(np.arange(200), [r.loss_total for r in rows[-200:]], 1)[0]
     return dict(
         train_error=evaluate(result.state, train_ds),

@@ -53,7 +53,7 @@ def main():
         train_ds, test_ds = load_datasets(config)
         result = train(config.to_train_config(), config.network, train_ds)
         test_error = evaluate(result.state, test_ds)
-        within = [r.loss_within for r in result.log.rows]
+        within = [r.loss_within for r in result.rows]
         print(f"{mode}: test_error={test_error:.4f} "
               f"within_first100={np.mean(within[:100]):.4f} "
               f"within_last100={np.mean(within[-100:]):.4f}")

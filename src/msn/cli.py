@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ``fetch-data``, ``train``, ``eval``, ``verify``. Exit codes are
-stable: 0 success, 1 usage or config error, 2 digest mismatch or malformed
-checkpoint, 3 network failure, 4 non-finite loss, 5 failed verification.
+stable: 0 success, 1 usage or config error, 2 digest mismatch / malformed
+dataset or checkpoint, 3 network failure, 4 non-finite loss, 5 failed
+verification. ``main`` maps each failure to its code in one table.
 """
 
 from __future__ import annotations
@@ -33,6 +34,17 @@ EXIT_NETWORK = 3
 EXIT_DIVERGED = 4
 EXIT_VERIFY_FAILED = 5
 
+# Exit code of each failure, by exception type; the first matching row wins.
+# FileNotFoundError is a missing checkpoint: config and dataset files that
+# are not found raise ConfigError or DatasetFormatError.
+EXIT_CODES = (
+    (ConfigError, EXIT_USAGE),
+    ((DigestMismatchError, DatasetFormatError, CheckpointError, FileNotFoundError),
+     EXIT_DIGEST),
+    (DownloadError, EXIT_NETWORK),
+    (TrainingDivergedError, EXIT_DIVERGED),
+)
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; our contract says 1."""
@@ -44,23 +56,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_fetch_data(args) -> int:
-    data = DataConfig()
-    if args.config:
-        try:
-            data = RunConfig.from_file(args.config).data
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    data = RunConfig.from_file(args.config).data if args.config else DataConfig()
     dest = args.out or data.resolve_data_dir()
-    try:
-        status = fetch_dataset(dest, name=args.dataset, url=args.url or data.url,
-                               sha256=args.sha256 or data.sha256)
-    except (DigestMismatchError, DatasetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIGEST
-    except DownloadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NETWORK
+    status = fetch_dataset(dest, name=args.dataset, url=args.url or data.url,
+                           sha256=args.sha256 or data.sha256)
     if status == "already-verified":
         print(f"already verified: {dest}")
     else:
@@ -74,26 +73,17 @@ def _new_run_dir() -> Path:
 
 
 def cmd_train(args) -> int:
-    try:
-        config = RunConfig.from_file(args.config).with_overrides(
-            seed=args.seed, out_dir=args.out, loss=args.loss)
-        train_config = config.to_train_config()
-        train_ds, test_ds = load_datasets(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = RunConfig.from_file(args.config).with_overrides(
+        seed=args.seed, out_dir=args.out, loss=args.loss)
+    train_config = config.to_train_config()
+    train_ds, test_ds = load_datasets(config)
 
     out_dir = Path(config.out_dir) if config.out_dir else _new_run_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.resolved.json").write_text(config.resolved_json())
 
-    try:
-        result = train(train_config, config.network, train_ds,
-                       eval_dataset=test_ds, csv_path=out_dir / "metrics.csv")
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-
+    result = train(train_config, config.network, train_ds,
+                   eval_dataset=test_ds, csv_path=out_dir / "metrics.csv")
     save_checkpoint(result.state, result.opt_state,
                     [h.xi_state for h in result.state.heads],
                     out_dir / "final.ckpt", iteration=train_config.iterations)
@@ -106,21 +96,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt_path = Path(args.checkpoint)
     config_path = args.config or ckpt_path.parent / "config.resolved.json"
-    try:
-        config = RunConfig.from_file(config_path)
-        data = dataclasses.replace(config.data, dataset=args.dataset or config.data.dataset,
-                                   data_dir=args.data_dir or config.data.data_dir)
-        config = dataclasses.replace(config, data=data)
-        _, test_ds = load_datasets(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        state, _, _ = load_checkpoint(ckpt_path, config.network)
-    except (CheckpointError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIGEST
+    config = RunConfig.from_file(config_path)
+    data = dataclasses.replace(config.data, dataset=args.dataset or config.data.dataset,
+                               data_dir=args.data_dir or config.data.data_dir)
+    config = dataclasses.replace(config, data=data)
+    _, test_ds = load_datasets(config)
+    state, _, _ = load_checkpoint(ckpt_path, config.network)
     print(f"test_error={evaluate(state, test_ds):.6f}")
     return EXIT_OK
 
@@ -174,7 +155,14 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        for types, code in EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

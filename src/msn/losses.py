@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import NonFiniteError
+from .tensor import check_finite
 
 ZERO_DISTANCE_GUARD = 1e-12
 DISTANCE_MODES = ("euclidean", "componentwise")
@@ -20,7 +20,11 @@ DISTANCE_MODES = ("euclidean", "componentwise")
 
 @dataclass(frozen=True)
 class LogitBatch:
-    """Post-FC logits q (N, c) with integer labels y (N,)."""
+    """Post-FC logits q (N, c) with integer labels y (N,).
+
+    The one place logits are validated: shape, label range and finiteness
+    (``NonFiniteError``). The loss terms below trust a constructed batch.
+    """
 
     q: np.ndarray
     y: np.ndarray
@@ -35,6 +39,7 @@ class LogitBatch:
         if y.size and (y.min() < 0 or y.max() >= q.shape[1]):
             raise ValueError(f"labels must lie in [0, {q.shape[1]}), got range "
                              f"[{y.min()}, {y.max()}]")
+        check_finite(q, "logits")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "y", y)
 
@@ -113,11 +118,8 @@ class LossBreakdown:
 
 def softmax_probs(q) -> np.ndarray:
     """Row-wise softmax with max subtraction; rows sum to 1, entries in (0, 1)."""
-    if isinstance(q, LogitBatch):
-        q = q.q
     q = np.asarray(q, dtype=np.float64)
-    if not np.all(np.isfinite(q)):
-        raise NonFiniteError("non-finite logits in softmax_probs")
+    check_finite(q, "logits")
     shifted = q - q.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -127,13 +129,16 @@ def between_class_loss(batch: LogitBatch) -> tuple[float, np.ndarray]:
     """Batch-mean cross-entropy over softmax probabilities.
 
     Returns the loss and its gradient w.r.t. the logits, (p - onehot(y)) / N.
+    The shifted exponentials serve both the log-sum-exp and p.
     """
     q, y = batch.q, batch.y
     n = batch.n
     m = q.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(q - m).sum(axis=1))
+    e = np.exp(q - m)
+    total = e.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(total[:, 0])
     loss = float(np.mean(lse - q[np.arange(n), y]))
-    grad = softmax_probs(q)
+    grad = e / total
     grad[np.arange(n), y] -= 1.0
     grad /= n
     return loss, grad
@@ -179,8 +184,6 @@ def within_class_loss(batch: LogitBatch, xi: float,
     """
     if xi <= 0:
         raise ValueError(f"xi must be positive, got {xi}")
-    if not np.all(np.isfinite(batch.q)):
-        raise NonFiniteError("non-finite logits in within_class_loss")
     grad = np.zeros_like(batch.q)
     loss = 0.0
     distances: dict[int, float] = {}

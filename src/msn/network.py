@@ -156,10 +156,6 @@ class NetworkState:
             t.grad = None
 
 
-def _vgg_convs(spec: NetworkSpec, block: int) -> int:
-    return VGG_CONVS_PER_BLOCK[block - 1]
-
-
 def build_network(spec: NetworkSpec, seed: int,
                   dtype=np.float32,
                   xi_factory: Callable[[], XiState] = XiState) -> NetworkState:
@@ -195,7 +191,7 @@ def build_network(spec: NetworkSpec, seed: int,
     for block in range(1, spec.num_blocks + 1):
         cout = chans[block - 1]
         if spec.family == "vgg":
-            for j in range(1, _vgg_convs(spec, block) + 1):
+            for j in range(1, VGG_CONVS_PER_BLOCK[block - 1] + 1):
                 add_conv(f"block{block}.conv{j}", 3, 3, cin, cout)
                 cin = cout
         elif block == 1:
@@ -240,7 +236,7 @@ def _forward_block(state: NetworkState, x: Tensor, block: int,
                           mode=mode, update_stats=update_stats)
 
     if spec.family == "vgg":
-        for j in range(1, _vgg_convs(spec, block) + 1):
+        for j in range(1, VGG_CONVS_PER_BLOCK[block - 1] + 1):
             x = relu(conv2d(x, p[f"block{block}.conv{j}.kernel"],
                             p[f"block{block}.conv{j}.bias"], stride=1, pad=1))
         return x
@@ -265,12 +261,13 @@ def _forward_block(state: NetworkState, x: Tensor, block: int,
 
 
 def forward_heads(state: NetworkState, images, mode: str = "train",
-                  update_stats: bool | None = None) -> list:
+                  update_stats: bool = True) -> list:
     """Single trunk pass; returns one logits tensor per attached head.
 
     Heads come back ordered by block index. The trunk is computed once and
     shared; each attached block feeds global average pooling and that head's
-    FC layer. ``update_stats`` defaults to True in train mode.
+    FC layer. Train mode folds the batch statistics into the batch-norm
+    running buffers unless ``update_stats`` is False.
     """
     spec = state.spec
     if not isinstance(images, Tensor):
@@ -279,8 +276,6 @@ def forward_heads(state: NetworkState, images, mode: str = "train",
         raise ValueError(
             f"images shape {images.data.shape} does not match spec input "
             f"(N, {spec.input_shape[0]}, {spec.input_shape[1]}, {spec.input_shape[2]})")
-    if update_stats is None:
-        update_stats = mode == "train"
 
     logits = []
     x = images

@@ -317,7 +317,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                mode: str = "train", eps: float = 1e-5, momentum: float = 0.9,
-               update_stats: bool | None = None) -> Tensor:
+               update_stats: bool = True) -> Tensor:
     """Per-channel normalization over the batch (and spatial axes for NHWC input).
 
     Train mode normalizes by batch statistics and, unless ``update_stats`` is
@@ -339,7 +339,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     if mode == "train":
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        if update_stats is None or update_stats:
+        if update_stats:
             running_mean[:] = momentum * running_mean + (1.0 - momentum) * mu
             running_var[:] = momentum * running_var + (1.0 - momentum) * var
     else:

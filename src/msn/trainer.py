@@ -8,7 +8,7 @@ resumed run replays the exact trajectory of an uninterrupted one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from . import checkpoint as ckpt
 from .data import LabeledDataset, class_aware_batch_indices, random_flip
 from .losses import DISTANCE_MODES, XiState
 from .network import NetworkSpec, NetworkState, attach_msn_loss, build_network, forward_heads, predict
-from .tensor import NonFiniteError
+from .tensor import NonFiniteError, check_finite
 
 _TAG_EPOCH, _TAG_BATCH, _TAG_FLIP = 1, 2, 3
 
@@ -116,15 +116,12 @@ def _csv_row(r: "IterationRecord") -> str:
 
 
 @dataclass
-class TrainLog:
-    rows: list = field(default_factory=list)
-
-
-@dataclass
 class TrainResult:
+    """The trained network and optimizer, and one IterationRecord per iteration run."""
+
     state: NetworkState
     opt_state: OptimizerState
-    log: TrainLog
+    rows: list
 
 
 def _rng(seed: int, tag: int, index: int) -> np.random.Generator:
@@ -145,8 +142,7 @@ def sgd_momentum_step(params: dict, opt_state: OptimizerState,
         g = p.grad
         if g is None:
             continue
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient for {name}")
+        check_finite(g, f"gradient for {name}")
         v = opt_state.velocity[name]
         v[...] = momentum * v - lr * g
         p.data += v
@@ -246,7 +242,7 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
         opt_state = OptimizerState.zeros_like(state.params)
         start = 0
 
-    log = TrainLog()
+    rows = []
     csv_file = None
     if csv_path is not None:
         csv_file = open(csv_path, "w")
@@ -261,6 +257,7 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
                 images = random_flip(images, _rng(config.seed, _TAG_FLIP, it))
 
             xi_used = {h.attach_block: h.xi_state.xi for h in state.heads}
+            lr = lr_schedule(config, it)
             state.zero_grads()
             try:
                 logits = forward_heads(state, images, mode="train")
@@ -268,13 +265,8 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
                     logits, labels, [h.xi_state for h in state.heads],
                     within_weight=config.within_weight,
                     distance_mode=config.distance_mode)
-            except NonFiniteError as exc:
-                raise TrainingDivergedError(it, str(exc)) from exc
-            if not np.isfinite(loss.data):
-                raise TrainingDivergedError(it, "loss is not finite")
-            loss.backward()
-            lr = lr_schedule(config, it)
-            try:
+                check_finite(loss.data, "loss")
+                loss.backward()
                 sgd_momentum_step(state.params, opt_state, lr, config.momentum)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(it, str(exc)) from exc
@@ -293,7 +285,7 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
                 train_error=train_error,
                 mean_distance=aggregate.mean_distance(),
                 test_error=test_error)
-            log.rows.append(row)
+            rows.append(row)
             if csv_file is not None:
                 csv_file.write(_csv_row(row) + "\n")
                 if (it + 1) % config.eval_interval == 0:
@@ -301,4 +293,4 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
     finally:
         if csv_file is not None:
             csv_file.close()
-    return TrainResult(state=state, opt_state=opt_state, log=log)
+    return TrainResult(state=state, opt_state=opt_state, rows=rows)

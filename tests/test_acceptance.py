@@ -212,7 +212,7 @@ def test_criterion_07_desk_scale_ab():
     for seed in seeds:
         for mode in ("msl", "ce"):
             result, train_ds, _ = _blob_ab_run(seed, mode)
-            rows = result.log.rows
+            rows = result.rows
             train_error = evaluate(result.state, train_ds)
             first = next((r.iteration for r in rows if r.train_error <= 0.01), None)
             assert first is not None and first + 200 <= len(rows)
@@ -278,7 +278,7 @@ def test_criterion_08_cifar_subset_both_loss_modes():
         train_ds, test_ds = load_datasets(config)
         result = train(config.to_train_config(), config.network, train_ds)
         test_error = evaluate(result.state, test_ds)
-        within = [r.loss_within for r in result.log.rows]
+        within = [r.loss_within for r in result.rows]
         outcomes[mode] = (test_error, float(np.mean(within[:100])),
                           float(np.mean(within[-100:])))
     elapsed = time.time() - start
@@ -350,9 +350,9 @@ def test_criterion_10_determinism_and_resume(tmp_path):
     save_checkpoint(half.state, half.opt_state,
                     [h.xi_state for h in half.state.heads], ckpt, iteration=10)
     resumed = train(config(20), spec, ds, eval_dataset=test_ds, resume_path=ckpt)
-    tail = [r for r in full.log.rows if r.iteration >= 10]
-    assert len(resumed.log.rows) == 10
-    for a, b in zip(tail, resumed.log.rows):
+    tail = [r for r in full.rows if r.iteration >= 10]
+    assert len(resumed.rows) == 10
+    for a, b in zip(tail, resumed.rows):
         assert a == b  # row-for-row
     for name in full.state.params:
         np.testing.assert_array_equal(resumed.state.params[name].data,

@@ -43,6 +43,13 @@ def write_config(tmp_path, cfg, name="run.json"):
     return path
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped_config(name):
+    return json.loads((CONFIGS / name).read_text())
+
+
 # The exact config.resolved.json written for configs/blobs_small.json. Every
 # run directory records its config in this form, so any change shows here.
 BLOBS_SMALL_RESOLVED = """\
@@ -293,11 +300,11 @@ class TestConfigSchema:
         assert again.resolved_json() == cfg.resolved_json()
 
     def test_blobs_small_resolved_json_is_pinned(self):
-        path = Path(__file__).resolve().parents[1] / "configs" / "blobs_small.json"
+        path = CONFIGS / "blobs_small.json"
         assert RunConfig.from_file(path).resolved_json() == BLOBS_SMALL_RESOLVED
 
     def test_cifar_subset_resolved_json_is_pinned(self):
-        path = Path(__file__).resolve().parents[1] / "configs" / "cifar_subset.json"
+        path = CONFIGS / "cifar_subset.json"
         assert RunConfig.from_file(path).resolved_json() == CIFAR_SUBSET_RESOLVED
 
     @pytest.mark.parametrize("mutate,needle", BAD_VALUES)
@@ -503,6 +510,45 @@ class TestCliTrainEval:
         raw[0:4] = b"XXXX"
         ckpt.write_bytes(bytes(raw))
         assert run_cli(["eval", "--checkpoint", str(ckpt)]) == 2
+
+    def test_eval_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        code = run_cli(["eval", "--config", str(CONFIGS / "blobs_small.json"),
+                        "--checkpoint", str(tmp_path / "missing.ckpt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.ckpt" in err
+
+    def test_diverging_run_exits_4_naming_the_iteration(self, tmp_path, capsys):
+        raw = shipped_config("blobs_small.json")
+        raw["train"].update(lr=1e30, iterations=5)
+        code = run_cli(["train", "--config", str(write_config(tmp_path, raw)),
+                        "--out", str(tmp_path / "run")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at iteration 1:")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_malformed_cifar_batch_exits_2_without_run_dir(self, tmp_path, capsys, command):
+        from msn import data as D
+
+        data_dir = tmp_path / "data"
+        for rel in D.CIFAR10_TRAIN_FILES + D.CIFAR10_TEST_FILES:
+            (data_dir / rel).parent.mkdir(parents=True, exist_ok=True)
+            with open(data_dir / rel, "wb") as fh:
+                fh.truncate(D.CIFAR10_FILE_BYTES)  # sparse: all-zero records
+        with open(data_dir / D.CIFAR10_TRAIN_FILES[0], "r+b") as fh:
+            fh.write(b"\xff")  # label byte of the first record
+        raw = shipped_config("cifar_subset.json")
+        raw["data"]["data_dir"] = str(data_dir)
+        config_path = str(write_config(tmp_path, raw))
+        out = tmp_path / "run"
+        argv = (["train", "--config", config_path, "--out", str(out)] if command == "train"
+                else ["eval", "--config", config_path, "--checkpoint", str(out / "final.ckpt")])
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "label byte 255 > 9" in err[0]
+        assert not out.exists()
 
     def test_default_out_dir_is_fresh_per_run(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -90,6 +90,43 @@ class TestBetweenClassLoss:
         fd = oracles.fd_grad(lambda a: between_class_loss(LogitBatch(q=a, y=y))[0], q)
         assert np.abs(grad - fd).max() <= 1e-8
 
+    @pytest.mark.parametrize("n,c", [(1, 2), (5, 3), (64, 4), (33, 10)])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_gradient_is_softmax_minus_onehot_bit_for_bit(self, rng, n, c, scale):
+        q = rng.standard_normal((n, c)) * scale
+        y = rng.integers(0, c, n)
+        _, grad = between_class_loss(LogitBatch(q=q, y=y))
+        np.testing.assert_array_equal(grad, (softmax_probs(q) - np.eye(c)[y]) / n)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def _logits_with(bad):
+    q = np.zeros((4, 3))
+    q[2, 1] = bad
+    return q, np.array([0, 0, 1, 1])
+
+
+class TestNonFiniteLogits:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_logit_batch_rejects(self, bad):
+        q, y = _logits_with(bad)
+        with pytest.raises(NonFiniteError):
+            LogitBatch(q=q, y=y)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_within_class_loss_rejects_through_logit_batch(self, bad):
+        q, y = _logits_with(bad)
+        with pytest.raises(NonFiniteError):
+            within_class_loss(LogitBatch(q=q, y=y), xi=0.5)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_msl_total_rejects(self, bad):
+        q, y = _logits_with(bad)
+        with pytest.raises(NonFiniteError):
+            msl_total(LogitBatch(q=q, y=y), xi=0.5)
+
 
 class TestPairCount:
     @pytest.mark.parametrize("mu,expected", [(0, 0), (1, 0), (2, 1), (3, 3), (5, 10)])

@@ -158,7 +158,7 @@ class TestTrainLoop:
         ds = tiny_blobs()
         result = train(tiny_config(iterations=0), spec, ds)
         fresh = build_network(spec, seed=0)
-        assert not result.log.rows
+        assert not result.rows
         for name in fresh.params:
             np.testing.assert_array_equal(result.state.params[name].data,
                                           fresh.params[name].data)
@@ -211,7 +211,7 @@ class TestTrainLoop:
         ds = tiny_blobs()
         result = train(tiny_config(iterations=40, xi_window=2), spec, ds)
         for block in (1, 2):
-            series = [row.xi[block] for row in result.log.rows]
+            series = [row.xi[block] for row in result.rows]
             assert all(a >= b for a, b in zip(series, series[1:]))
             assert all(x >= 1e-4 for x in series)
 
@@ -253,9 +253,9 @@ class TestCheckpointResume:
         resumed = train(tiny_config(iterations=20), spec, ds, eval_dataset=test_ds,
                         resume_path=path)
 
-        assert len(resumed.log.rows) == 10
-        full_rows = [r for r in full.log.rows if r.iteration >= 10]
-        for a, b in zip(full_rows, resumed.log.rows):
+        assert len(resumed.rows) == 10
+        full_rows = [r for r in full.rows if r.iteration >= 10]
+        for a, b in zip(full_rows, resumed.rows):
             assert a == b
         for name in full.state.params:
             np.testing.assert_array_equal(resumed.state.params[name].data,
