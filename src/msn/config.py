@@ -208,16 +208,6 @@ class RunConfig:
 # dataset assembly
 # ---------------------------------------------------------------------------
 
-def split_blobs(ds: D.LabeledDataset, train_per_class: int, test_per_class: int):
-    """Per class, the first ``train_per_class`` samples train and the next
-    ``test_per_class`` test; both splits keep class order."""
-    per_class = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]
-    train = np.concatenate([idx[:train_per_class] for idx in per_class])
-    test = np.concatenate([idx[train_per_class:][:test_per_class] for idx in per_class])
-    return (dataclasses.replace(ds.take(train), split="train"),
-            dataclasses.replace(ds.take(test), split="test"))
-
-
 def load_datasets(config: RunConfig):
     """Materialize (train, test) per the data section, fully preprocessed.
 
@@ -234,7 +224,13 @@ def load_datasets(config: RunConfig):
         ds = _build("data.blobs", D.synthetic_blobs, b.classes, total,
                     image_shape=b.image_shape, separation=b.separation, noise=b.noise,
                     rng=np.random.default_rng((config.train.seed, 9000)))
-        train, test = split_blobs(ds, b.train_per_class, b.test_per_class)
+        # per class, the first train_per_class samples train and the next
+        # test_per_class test; both splits keep class order
+        per_class = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]
+        train = np.concatenate([idx[:b.train_per_class] for idx in per_class])
+        test = np.concatenate([idx[b.train_per_class:][:b.test_per_class] for idx in per_class])
+        train = dataclasses.replace(ds.take(train), split="train")
+        test = dataclasses.replace(ds.take(test), split="test")
     else:
         data_dir = dc.resolve_data_dir()
         if not D.cifar10_files_present(data_dir):

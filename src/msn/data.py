@@ -117,10 +117,13 @@ def _download(url: str, target: Path, retries: int = 3) -> None:
 
 
 def _safe_extract(archive: Path, dest: Path) -> None:
+    """Extract only when every member is a plain entry that lands inside ``dest``."""
+    root = dest.resolve()
     with tarfile.open(archive, "r:gz") as tar:
         for member in tar.getmembers():
-            target = (dest / member.name).resolve()
-            if not str(target).startswith(str(dest.resolve())):
+            if member.issym() or member.islnk():
+                raise DatasetFormatError(f"archive member is a link: {member.name}")
+            if not (root / member.name).resolve().is_relative_to(root):
                 raise DatasetFormatError(f"archive member escapes dest: {member.name}")
         tar.extractall(dest)
 

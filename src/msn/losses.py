@@ -155,22 +155,20 @@ def _pairwise_distance(points: np.ndarray, mode: str):
     mu = points.shape[0]
     lam = pair_count(mu)
     diff = points[:, None, :] - points[None, :, :]
+    # each mode gives the (mu, mu) pair distances and the (mu, mu, k) pair
+    # gradients; the mean over pairs and its gradient are shared
     if mode == "euclidean":
         dist = np.sqrt((diff * diff).sum(axis=-1))
-        iu = np.triu_indices(mu, 1)
-        d = float(dist[iu].sum() / lam)
         safe = np.where(dist < ZERO_DISTANCE_GUARD, 1.0, dist)
         unit = diff / safe[:, :, None]
         unit[dist < ZERO_DISTANCE_GUARD] = 0.0
-        d_grad = unit.sum(axis=1) / lam
     elif mode == "componentwise":
-        per_pair = np.abs(diff).sum(axis=-1)
-        iu = np.triu_indices(mu, 1)
-        d = float(per_pair[iu].sum() / lam)
-        d_grad = np.sign(diff).sum(axis=1) / lam
+        dist = np.abs(diff).sum(axis=-1)
+        unit = np.sign(diff)
     else:
         raise ValueError(f"unknown distance mode {mode!r}")
-    return d, d_grad
+    iu = np.triu_indices(mu, 1)
+    return float(dist[iu].sum() / lam), unit.sum(axis=1) / lam
 
 
 def within_class_loss(batch: LogitBatch, xi: float,

@@ -15,7 +15,7 @@ pooling + FC) on the block's output, before the pooling that follows it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -126,12 +126,20 @@ class NetworkSpec:
 
 @dataclass
 class MsmHead:
-    """Separability head: FC weights on a pooled block output, with its own xi."""
+    """Separability head on a pooled block output, with its own xi.
+
+    Its FC tensors are ``head{b}.fc.weight`` and ``head{b}.fc.bias`` in the
+    network's ``params``; the head holds no copy of them.
+    """
 
     attach_block: int
-    fc_weight: Tensor
-    fc_bias: Tensor
     xi_state: XiState
+    params: dict = field(repr=False, compare=False)
+
+    @property
+    def fc_bias(self) -> Tensor:
+        """The FC bias as ``params`` holds it now (perfbench calibrates it)."""
+        return self.params[f"head{self.attach_block}.fc.bias"]
 
 
 @dataclass
@@ -214,12 +222,7 @@ def build_network(spec: NetworkSpec, seed: int,
         d = chans[block - 1]
         add_param(f"head{block}.fc.weight", (d, spec.num_classes), fan_in=d)
         add_param(f"head{block}.fc.bias", (spec.num_classes,))
-        heads.append(MsmHead(
-            attach_block=block,
-            fc_weight=params[f"head{block}.fc.weight"],
-            fc_bias=params[f"head{block}.fc.bias"],
-            xi_state=xi_factory(),
-        ))
+        heads.append(MsmHead(attach_block=block, xi_state=xi_factory(), params=params))
     return NetworkState(spec=spec, params=params, buffers=buffers, heads=heads,
                         dtype=np.dtype(dtype))
 
@@ -316,14 +319,9 @@ def msn_loss(heads: Sequence, within_weight: float = 1.0,
         per_head.append(breakdown)
         grads.append(grad * scale)
 
-    distance_keys = set()
-    for bd in per_head:
-        distance_keys.update(bd.per_class_distance)
-    mean_distances = {
-        j: float(np.mean([bd.per_class_distance[j] for bd in per_head
-                          if j in bd.per_class_distance]))
-        for j in sorted(distance_keys)
-    }
+    # shared labels give every head the same classes, in ascending order
+    mean_distances = {j: float(np.mean([bd.per_class_distance[j] for bd in per_head]))
+                      for j in per_head[0].per_class_distance}
     aggregate = LossBreakdown(
         between=float(np.mean([bd.between for bd in per_head])),
         within=float(np.mean([bd.within for bd in per_head])),
@@ -352,9 +350,7 @@ def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,
         for xi_state, breakdown in zip(xi_states, per_head):
             xi_state.update(breakdown.within)
     dtype = logit_tensors[0].data.dtype
-    with np.errstate(over="ignore"):  # diverged losses saturate to inf, caught upstream
-        value = np.asarray(aggregate.total, dtype=dtype)
-    out = _result(value, logit_tensors, "msn_loss")
+    out = _result(np.asarray(aggregate.total, dtype=dtype), logit_tensors, "msn_loss")
 
     def _bw():
         for t, g in zip(logit_tensors, grads):

@@ -259,17 +259,20 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
             xi_used = {h.attach_block: h.xi_state.xi for h in state.heads}
             lr = lr_schedule(config, it)
             state.zero_grads()
-            try:
-                logits = forward_heads(state, images, mode="train")
-                loss, aggregate, _ = attach_msn_loss(
-                    logits, labels, [h.xi_state for h in state.heads],
-                    within_weight=config.within_weight,
-                    distance_mode=config.distance_mode)
-                check_finite(loss.data, "loss")
-                loss.backward()
-                sgd_momentum_step(state.params, opt_state, lr, config.momentum)
-            except NonFiniteError as exc:
-                raise TrainingDivergedError(it, str(exc)) from exc
+            # non-finite arithmetic stays silent: check_finite reports it once,
+            # as TrainingDivergedError
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    logits = forward_heads(state, images, mode="train")
+                    loss, aggregate, _ = attach_msn_loss(
+                        logits, labels, [h.xi_state for h in state.heads],
+                        within_weight=config.within_weight,
+                        distance_mode=config.distance_mode)
+                    check_finite(loss.data, "loss")
+                    loss.backward()
+                    sgd_momentum_step(state.params, opt_state, lr, config.momentum)
+                except NonFiniteError as exc:
+                    raise TrainingDivergedError(it, str(exc)) from exc
 
             train_error = float(
                 (logits[-1].data.argmax(axis=1) != labels).mean())

@@ -8,12 +8,13 @@ dominated by the five-seed A/B training runs of criterion 7.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from msn import oracles
-from msn.config import RunConfig, load_datasets, split_blobs
+from msn.config import RunConfig, load_datasets
 from msn.data import (
     cifar10_files_present,
     global_contrast_normalize,
@@ -39,6 +40,9 @@ from msn.trainer import (
     train,
 )
 from msn.verify import run_suites
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def report(number, detail):
@@ -188,17 +192,11 @@ def test_criterion_06_batch_size_sensitivity():
 # 7. desk-scale training A/B
 # ---------------------------------------------------------------------------
 
-def _blob_ab_run(seed, loss_mode, iterations=2000):
-    spec = NetworkSpec(family="vgg", width_multiplier=1 / 16, attachment=(1, 2),
-                       num_classes=4, input_shape=(8, 8, 1), num_blocks=2)
-    config = TrainConfig(iterations=iterations, batch_size=64,
-                         batching="class-aware", seed=seed,
-                         within_weight=0.0 if loss_mode == "ce" else 1.0)
-    ds = synthetic_blobs(4, 600, image_shape=(8, 8, 1), separation=3.0,
-                         rng=np.random.default_rng((seed, 9000)))
-    train_ds, test_ds = split_blobs(ds, 500, 100)
-    result = train(config, spec, train_ds)
-    return result, train_ds, test_ds
+def _shipped_run(name, seed, loss_mode):
+    """Train configs/<name> at ``seed`` in ``loss_mode``: (result, train, test)."""
+    config = RunConfig.from_file(CONFIGS / name).with_overrides(seed=seed, loss=loss_mode)
+    train_ds, test_ds = load_datasets(config)
+    return train(config.to_train_config(), config.network, train_ds), train_ds, test_ds
 
 
 def _slope(values):
@@ -211,7 +209,7 @@ def test_criterion_07_desk_scale_ab():
     stats = {"msl": [], "ce": []}
     for seed in seeds:
         for mode in ("msl", "ce"):
-            result, train_ds, _ = _blob_ab_run(seed, mode)
+            result, train_ds, _ = _shipped_run("blobs_small.json", seed, mode)
             rows = result.rows
             train_error = evaluate(result.state, train_ds)
             first = next((r.iteration for r in rows if r.train_error <= 0.01), None)
@@ -261,22 +259,9 @@ def test_criterion_07_desk_scale_ab():
 @needs_cifar
 def test_criterion_08_cifar_subset_both_loss_modes():
     start = time.time()
-    base = {
-        "network": {"family": "resnet", "depth_k": 1, "width_multiplier": 0.5,
-                    "attachment": [4], "num_classes": 2,
-                    "input_shape": [32, 32, 3]},
-        "data": {"dataset": "cifar10", "data_dir": _data_dir(),
-                 "gcn": True, "zca": True, "flip": True,
-                 "subset": {"classes": [0, 1], "train_per_class": 500,
-                            "test_per_class": 100}},
-        "train": {"iterations": 3000, "batch_size": 64, "batching": "class-aware",
-                  "eval_interval": 500, "seed": 0},
-    }
     outcomes = {}
     for mode in ("msl", "ce"):
-        config = RunConfig.from_dict(base).with_overrides(loss=mode)
-        train_ds, test_ds = load_datasets(config)
-        result = train(config.to_train_config(), config.network, train_ds)
+        result, _, test_ds = _shipped_run("cifar_subset.json", 0, mode)
         test_error = evaluate(result.state, test_ds)
         within = [r.loss_within for r in result.rows]
         outcomes[mode] = (test_error, float(np.mean(within[:100])),

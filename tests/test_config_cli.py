@@ -518,14 +518,17 @@ class TestCliTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "missing.ckpt" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_exits_4_naming_the_iteration(self, tmp_path, capsys):
+        # overflow in the diverging arithmetic must not warn: the one error
+        # line is the whole report
         raw = shipped_config("blobs_small.json")
         raw["train"].update(lr=1e30, iterations=5)
         code = run_cli(["train", "--config", str(write_config(tmp_path, raw)),
                         "--out", str(tmp_path / "run")])
         assert code == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: training diverged at iteration 1:")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training diverged at iteration 1:")
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_malformed_cifar_batch_exits_2_without_run_dir(self, tmp_path, capsys, command):

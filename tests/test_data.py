@@ -4,6 +4,7 @@ fetch/load path (exercised on synthetic archives; real CIFAR-10 when present).""
 import hashlib
 import io
 import os
+import re
 import tarfile
 
 import numpy as np
@@ -254,6 +255,34 @@ class TestFetch:
             D.fetch_dataset(tmp_path / "data2", url=archive.as_uri(), sha256=digest,
                             expected_files=expected)
         assert digest in str(exc.value)
+
+    @pytest.mark.parametrize("name,kind", [
+        ("../data-evil/x.bin", tarfile.REGTYPE),  # a sibling sharing dest's prefix
+        ("link", tarfile.SYMTYPE),
+        ("hard", tarfile.LNKTYPE),
+    ], ids=["sibling-prefix", "symlink", "hardlink"])
+    def test_member_reaching_outside_dest_is_rejected(self, tmp_path, name, kind):
+        outside = tmp_path / "outside.bin"
+        outside.write_bytes(b"keep")
+        buf = io.BytesIO()
+        with tarfile.open(fileobj=buf, mode="w:gz") as tar:
+            for info_name, info_kind in (("ok.bin", tarfile.REGTYPE), (name, kind)):
+                info = tarfile.TarInfo(info_name)
+                info.type = info_kind
+                if info_kind == tarfile.REGTYPE:
+                    info.size = 4
+                else:
+                    info.linkname = str(outside)
+                tar.addfile(info, io.BytesIO(b"data") if info.size else None)
+        archive = tmp_path / "evil.tar.gz"
+        archive.write_bytes(buf.getvalue())
+        dest = tmp_path / "data"
+        with pytest.raises(D.DatasetFormatError, match=re.escape(name)):
+            D.fetch_dataset(dest, url=archive.as_uri(),
+                            sha256=hashlib.sha256(buf.getvalue()).hexdigest(),
+                            expected_files=(("ok.bin", 4),))
+        assert not (tmp_path / "data-evil").exists()
+        assert not (dest / "ok.bin").exists() and not (dest / name).exists()
 
     def test_unreachable_source_is_download_error(self, tmp_path):
         with pytest.raises(D.DownloadError):

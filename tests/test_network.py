@@ -70,6 +70,12 @@ class TestBuild:
         assert len(state.heads) == 4
         assert [h.attach_block for h in state.heads] == [1, 2, 3, 4]
 
+    def test_head_bias_follows_a_swapped_param(self):
+        state = build_network(small_spec(attachment=(1, 2)), seed=0)
+        swapped = Tensor(np.ones(3), requires_grad=True)
+        state.params["head2.fc.bias"] = swapped
+        assert state.heads[1].fc_bias is swapped
+
     def test_resnet_parameter_count_matches_closed_form(self):
         spec = NetworkSpec(family="resnet", depth_k=1, width_multiplier=1.0,
                            attachment=(1, 2, 3, 4), num_classes=10,
@@ -132,7 +138,7 @@ class TestForwardHeads:
         state = build_network(spec, seed=0)
         chans = spec.block_channels()
         for head, c in zip(state.heads, chans):
-            assert head.fc_weight.shape == (c, 5)
+            assert state.params[f"head{head.attach_block}.fc.weight"].shape == (c, 5)
         logits = forward_heads(state, rng.standard_normal((2, 16, 16, 3)), mode="infer")
         assert [t.shape for t in logits] == [(2, 5)] * 4
 
