@@ -9,6 +9,7 @@ order, 10,000 records per file.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import tarfile
@@ -51,9 +52,13 @@ class DatasetFormatError(ValueError):
     """Malformed dataset bytes (truncation, bad label, wrong sizes)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledDataset:
-    """Images (N, H, W, C) with integer labels in [0, num_classes)."""
+    """Images (N, H, W, C) with integer labels in [0, num_classes).
+
+    Frozen, and its labels are not to be changed in place: ``class_pools``
+    is built from them once.
+    """
 
     images: np.ndarray
     labels: np.ndarray
@@ -72,6 +77,20 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def class_pools(self) -> tuple:
+        """(eligible, pools): the classes with two or more samples, in
+        ``np.unique`` order, and a dict from each to its sample indices.
+
+        Built on first use and kept with the dataset; the arrays are read-only.
+        """
+        classes, counts = np.unique(self.labels, return_counts=True)
+        eligible = classes[counts >= 2]
+        pools = {int(c): np.flatnonzero(self.labels == c) for c in eligible}
+        for arr in (eligible, *pools.values()):
+            arr.flags.writeable = False
+        return eligible, pools
 
     def take(self, indices) -> "LabeledDataset":
         return LabeledDataset(images=self.images[indices], labels=self.labels[indices],
@@ -112,7 +131,8 @@ def _download(url: str, target: Path, retries: int = 3) -> None:
             return
         except (urllib.error.URLError, TimeoutError, ConnectionError, OSError) as exc:
             last = exc
-            time.sleep(min(2.0 ** attempt, 8.0))
+            if attempt + 1 < retries:
+                time.sleep(min(2.0 ** attempt, 8.0))
     raise DownloadError(f"could not download {url}: {last}")
 
 
@@ -266,18 +286,17 @@ def random_flip(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 # batching
 # ---------------------------------------------------------------------------
 
-def class_aware_batch_indices(labels: np.ndarray, batch_size: int,
+def class_aware_batch_indices(dataset: LabeledDataset, batch_size: int,
                               rng: np.random.Generator) -> np.ndarray:
     """One batch with at least two samples from every represented class.
 
     Batches of size >= 2c represent every class with samples; smaller batches
-    represent a random subset of classes, still two-or-more each.
+    represent a random subset of classes, still two-or-more each. The class
+    pools come from ``dataset.class_pools``.
     """
     if batch_size < 2:
         raise ValueError("class-aware batching needs batch_size >= 2")
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    eligible = np.array([c for c in classes if (labels == c).sum() >= 2])
+    eligible, pools = dataset.class_pools
     if eligible.size == 0:
         raise ValueError("no class has two or more samples")
     k = min(len(eligible), batch_size // 2)
@@ -287,7 +306,7 @@ def class_aware_batch_indices(labels: np.ndarray, batch_size: int,
         counts[int(c)] += 1
     picks = []
     for c, count in counts.items():
-        pool = np.flatnonzero(labels == c)
+        pool = pools[c]
         picks.append(rng.choice(pool, size=count, replace=count > len(pool)))
     batch = np.concatenate(picks)
     rng.shuffle(batch)

@@ -174,7 +174,11 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     n, h, w, ci = x.shape
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
-    img = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
+    if pad:
+        img = np.zeros((n, h + 2 * pad, w + 2 * pad, ci), x.dtype)
+        img[:, pad:pad + h, pad:pad + w, :] = x
+    else:
+        img = x
     # one read-only (n, oh, ow, kh, kw, ci) window view of the padded input;
     # the reshape makes the one contiguous copy (or none, for a 1x1 kernel)
     s0, s1, s2, s3 = img.strides

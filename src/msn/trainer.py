@@ -154,7 +154,7 @@ def batch_indices_for_iteration(dataset: LabeledDataset, config: TrainConfig,
     n = len(dataset)
     if config.batching == "class-aware":
         return class_aware_batch_indices(
-            dataset.labels, config.batch_size, _rng(config.seed, _TAG_BATCH, iteration))
+            dataset, config.batch_size, _rng(config.seed, _TAG_BATCH, iteration))
     per_epoch = (n + config.batch_size - 1) // config.batch_size
     epoch, slot = divmod(iteration, per_epoch)
     perm = _rng(config.seed, _TAG_EPOCH, epoch).permutation(n)

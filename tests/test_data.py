@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from msn import data as D
-from msn.trainer import TrainConfig, batch_indices_for_iteration
+from msn.trainer import _TAG_BATCH, TrainConfig, _rng, batch_indices_for_iteration
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ class TestBatches:
         ds = D.synthetic_blobs(10, 40, rng=np.random.default_rng(1))
         rng = np.random.default_rng(2)
         for _ in range(100):
-            batch = D.class_aware_batch_indices(ds.labels, 64, rng)
+            batch = D.class_aware_batch_indices(ds, 64, rng)
             assert len(batch) == 64
             labels = ds.labels[batch]
             _, counts = np.unique(labels, return_counts=True)
@@ -163,14 +163,58 @@ class TestBatches:
         ds = D.synthetic_blobs(10, 40, rng=np.random.default_rng(1))
         rng = np.random.default_rng(3)
         for _ in range(50):
-            labels = ds.labels[D.class_aware_batch_indices(ds.labels, 6, rng)]
+            labels = ds.labels[D.class_aware_batch_indices(ds, 6, rng)]
             _, counts = np.unique(labels, return_counts=True)
             assert counts.min() >= 2
 
     def test_class_aware_needs_two(self):
         ds = D.synthetic_blobs(2, 4, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            D.class_aware_batch_indices(ds.labels, 1, np.random.default_rng(0))
+            D.class_aware_batch_indices(ds, 1, np.random.default_rng(0))
+
+    def test_class_aware_sequence_matches_naive_batcher(self):
+        def naive_batch(labels, batch_size, rng):
+            # the class pools rebuilt from the labels on every call
+            classes = np.unique(labels)
+            eligible = np.array([c for c in classes if (labels == c).sum() >= 2])
+            k = min(len(eligible), batch_size // 2)
+            chosen = rng.choice(eligible, size=k, replace=False)
+            counts = {int(c): 2 for c in chosen}
+            for c in rng.choice(chosen, size=batch_size - 2 * k, replace=True):
+                counts[int(c)] += 1
+            picks = []
+            for c, count in counts.items():
+                pool = np.flatnonzero(labels == c)
+                picks.append(rng.choice(pool, size=count, replace=count > len(pool)))
+            batch = np.concatenate(picks)
+            rng.shuffle(batch)
+            return batch
+
+        def dataset(counts, seed):
+            labels = np.repeat(np.arange(len(counts)), counts)
+            labels = np.random.default_rng(seed).permutation(labels)
+            return D.LabeledDataset(images=np.zeros((len(labels), 1, 1, 1)),
+                                    labels=labels, num_classes=len(counts))
+
+        for seed in range(3):
+            # built afresh for each seed, so a cache keyed by id() can meet a
+            # reused id; class 1 of the first has one sample, class 3 of the
+            # second none, and batch 6 is below twice the class count
+            runs = [(dataset([30, 1, 12, 3, 20], seed), 6),
+                    (dataset([7, 2, 15, 0, 9], seed + 10), 64)]
+            for it in range(200):
+                for ds, batch_size in runs:
+                    config = TrainConfig(iterations=200, batch_size=batch_size,
+                                         batching="class-aware", seed=seed)
+                    np.testing.assert_array_equal(
+                        batch_indices_for_iteration(ds, config, it),
+                        naive_batch(ds.labels, batch_size, _rng(seed, _TAG_BATCH, it)))
+
+    def test_class_pools_are_read_only(self):
+        eligible, pools = D.synthetic_blobs(3, 4, rng=np.random.default_rng(0)).class_pools
+        for arr in (eligible, *pools.values()):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +327,14 @@ class TestFetch:
                             expected_files=(("ok.bin", 4),))
         assert not (tmp_path / "data-evil").exists()
         assert not (dest / "ok.bin").exists() and not (dest / name).exists()
+
+    def test_download_sleeps_only_between_attempts(self, tmp_path, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(D.time, "sleep", sleeps.append)
+        with pytest.raises(D.DownloadError):
+            D._download((tmp_path / "none.tar.gz").as_uri(), tmp_path / "out.tar.gz",
+                        retries=3)
+        assert sleeps == [1.0, 2.0]
 
     def test_unreachable_source_is_download_error(self, tmp_path):
         with pytest.raises(D.DownloadError):

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from msn import oracles
 from msn.losses import (
     LogitBatch,
+    _pair_indices,
     between_class_loss,
     msl_total,
     pair_count,
@@ -132,6 +133,21 @@ class TestPairCount:
     @pytest.mark.parametrize("mu,expected", [(0, 0), (1, 0), (2, 1), (3, 3), (5, 10)])
     def test_values(self, mu, expected):
         assert pair_count(mu) == expected
+
+
+class TestPairIndices:
+    @pytest.mark.parametrize("mu", [2, 3, 7])
+    def test_cached_triu_indices(self, mu):
+        rows, cols = _pair_indices(mu)
+        expected_rows, expected_cols = np.triu_indices(mu, 1)
+        np.testing.assert_array_equal(rows, expected_rows)
+        np.testing.assert_array_equal(cols, expected_cols)
+        assert _pair_indices(mu)[0] is rows
+
+    def test_cached_arrays_are_read_only(self):
+        for arr in _pair_indices(4):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 def class_distances(batch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from msn import network
-from msn.losses import LogitBatch, XiState, msl_total
+from msn.losses import DISTANCE_MODES, LogitBatch, XiState, msl_total
 from msn.network import (
     ATTACHMENT_CONFIGS,
     NetworkSpec,
@@ -17,7 +17,7 @@ from msn.network import (
     msn_loss,
     predict,
 )
-from msn.tensor import Tensor, conv2d, grad_check, no_grad
+from msn.tensor import NonFiniteError, Tensor, conv2d, grad_check, no_grad
 
 
 def small_spec(**overrides):
@@ -200,6 +200,29 @@ class TestMsnLoss:
         reduced, _, _ = msn_loss(heads[:-1])
         expected = (full.total * 4 - per_head[-1].total) / 3
         assert abs(reduced.total - expected) <= 1e-12
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    @pytest.mark.parametrize("mode", DISTANCE_MODES)
+    def test_shared_partition_equals_each_head_alone(self, rng, count, mode):
+        # classes 3, 4 and 2 have two or more members and come unsorted;
+        # class 0 has one member and class 1 none
+        y = np.array([3, 4, 2, 3, 0, 2, 4, 3, 2, 4, 3])
+        heads = [(LogitBatch(q=rng.standard_normal((len(y), 5)) * 2, y=y.copy()),
+                  XiState(initial_xi=0.1 * (h + 1) ** 3)) for h in range(count)]
+        _, per_head, grads = msn_loss(heads, within_weight=0.7, distance_mode=mode)
+        for (batch, xi_state), breakdown, grad in zip(heads, per_head, grads):
+            alone, alone_grad = msl_total(batch, xi_state.xi, within_weight=0.7,
+                                          distance_mode=mode)
+            assert breakdown == alone
+            assert list(breakdown.per_class_distance) == [2, 3, 4]
+            np.testing.assert_array_equal(grad, alone_grad * (1.0 / count))
+
+    def test_each_head_checks_its_own_logits(self, rng):
+        logits = [Tensor(rng.standard_normal((4, 3))) for _ in range(3)]
+        logits[2].data[1, 2] = np.nan
+        with pytest.raises(NonFiniteError):
+            attach_msn_loss(logits, np.array([0, 0, 1, 1]),
+                            [XiState() for _ in logits], update_xi=False)
 
     def test_mismatched_labels_rejected(self, rng):
         a = LogitBatch(q=rng.standard_normal((4, 3)), y=np.array([0, 1, 2, 0]))
