@@ -31,8 +31,10 @@ class LogitBatch:
     y: np.ndarray
 
     def __post_init__(self):
-        q = _logits_of_valid_shape(self.q)
+        q = np.asarray(self.q, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.int64)
+        if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 2:
+            raise ValueError(f"logits must be (N>=1, c>=2), got shape {q.shape}")
         if y.shape != (q.shape[0],):
             raise ValueError(f"labels shape {y.shape} does not match logits {q.shape}")
         if y.size and (y.min() < 0 or y.max() >= q.shape[1]):
@@ -42,22 +44,6 @@ class LogitBatch:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "y", y)
 
-    def with_logits(self, q) -> "LogitBatch":
-        """These labels under other logits of the same shape.
-
-        The labels were validated against that shape already, so only the
-        new logits' shape and finiteness are checked.
-        """
-        q = _logits_of_valid_shape(q)
-        if q.shape != self.q.shape:
-            raise ValueError(f"logits shape {q.shape} does not match the batch's "
-                             f"{self.q.shape}")
-        check_finite(q, "logits")
-        batch = object.__new__(LogitBatch)
-        object.__setattr__(batch, "q", q)
-        object.__setattr__(batch, "y", self.y)
-        return batch
-
     @property
     def n(self) -> int:
         return self.q.shape[0]
@@ -65,20 +51,6 @@ class LogitBatch:
     @property
     def num_classes(self) -> int:
         return self.q.shape[1]
-
-
-def _logits_of_valid_shape(q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] < 1 or q.shape[1] < 2:
-        raise ValueError(f"logits must be (N>=1, c>=2), got shape {q.shape}")
-    return q
-
-
-def class_partition(y: np.ndarray) -> tuple:
-    """(j, rows of class j) for every class with at least two labels in ``y``,
-    in ascending class order: the classes the within-class term sums over."""
-    counts = np.bincount(y)
-    return tuple((int(j), np.flatnonzero(y == j)) for j in np.flatnonzero(counts >= 2))
 
 
 def pair_count(mu: int) -> int:
@@ -210,23 +182,22 @@ def _pairwise_distance(points: np.ndarray, mode: str):
 
 
 def within_class_loss(batch: LogitBatch, xi: float,
-                      distance_mode: str = "euclidean", partition=None,
+                      distance_mode: str = "euclidean",
                       ) -> tuple[float, np.ndarray, dict]:
     """Squared hinge on per-class mean pairwise distance exceeding xi.
 
     Sum over classes with at least two batch samples of max(0, d_j - xi)^2;
-    classes with fewer samples contribute nothing. ``partition`` is
-    ``class_partition(batch.y)``, computed here when not given. Returns the
-    loss, its gradient w.r.t. the logits, and the map j -> d_j.
+    classes with fewer samples contribute nothing. Returns the loss, its
+    gradient w.r.t. the logits, and the map j -> d_j.
     """
     if xi <= 0:
         raise ValueError(f"xi must be positive, got {xi}")
-    if partition is None:
-        partition = class_partition(batch.y)
     grad = np.zeros_like(batch.q)
     loss = 0.0
     distances: dict[int, float] = {}
-    for j, idx in partition:
+    # only the classes with at least two batch samples, in ascending order
+    for j in np.flatnonzero(np.bincount(batch.y) >= 2).tolist():
+        idx = np.flatnonzero(batch.y == j)
         d, d_grad = _pairwise_distance(batch.q[idx], distance_mode)
         distances[j] = d
         excess = d - xi
@@ -237,17 +208,16 @@ def within_class_loss(batch: LogitBatch, xi: float,
 
 
 def msl_total(batch: LogitBatch, xi: float, within_weight: float = 1.0,
-              distance_mode: str = "euclidean", partition=None,
+              distance_mode: str = "euclidean",
               ) -> tuple[LossBreakdown, np.ndarray]:
     """Combined loss: between-class plus (optionally weighted) within-class.
 
     The weight defaults to 1 so the total is the plain sum of the two terms;
     weight 0 gives the pure cross-entropy baseline on the identical code path.
-    ``partition`` is passed on to ``within_class_loss``.
     """
     between, g_between = between_class_loss(batch)
     within_raw, g_within, distances = within_class_loss(
-        batch, xi, distance_mode=distance_mode, partition=partition)
+        batch, xi, distance_mode=distance_mode)
     within = within_weight * within_raw
     breakdown = LossBreakdown(
         between=between,

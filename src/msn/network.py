@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .losses import LogitBatch, LossBreakdown, XiState, class_partition, msl_total
+from .losses import LogitBatch, LossBreakdown, XiState, msl_total
 from .tensor import (
     Tensor,
     _result,
@@ -300,16 +300,14 @@ def msn_loss(heads: Sequence, within_weight: float = 1.0,
     ``heads`` is a sequence of (LogitBatch, XiState) pairs sharing one label
     vector. Returns (aggregate breakdown, per-head breakdowns, per-head logit
     gradients already scaled by 1/len(heads)). Pure: the thresholds are read,
-    never advanced. The class partition of the labels is computed once and
-    shared by every head.
+    never advanced.
     """
     if not heads:
         raise ValueError("msn_loss needs at least one head")
     labels = heads[0][0].y
     for batch, _ in heads[1:]:
-        if batch.y is not labels and not np.array_equal(batch.y, labels):
+        if not np.array_equal(batch.y, labels):
             raise ValueError("all heads must share the same labels")
-    partition = class_partition(labels)
 
     per_head = []
     grads = []
@@ -317,8 +315,7 @@ def msn_loss(heads: Sequence, within_weight: float = 1.0,
     for batch, xi_state in heads:
         breakdown, grad = msl_total(batch, xi_state.xi,
                                     within_weight=within_weight,
-                                    distance_mode=distance_mode,
-                                    partition=partition)
+                                    distance_mode=distance_mode)
         per_head.append(breakdown)
         grads.append(grad * scale)
 
@@ -346,10 +343,7 @@ def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,
     """
     if len(logit_tensors) != len(xi_states):
         raise ValueError("one xi state per head is required")
-    # the labels are validated once, with the first head's logits
-    first = LogitBatch(q=logit_tensors[0].data, y=labels)
-    batches = [first] + [first.with_logits(t.data) for t in logit_tensors[1:]]
-    pairs = list(zip(batches, xi_states))
+    pairs = [(LogitBatch(q=t.data, y=labels), xi) for t, xi in zip(logit_tensors, xi_states)]
     aggregate, per_head, grads = msn_loss(pairs, within_weight=within_weight,
                                           distance_mode=distance_mode)
     if update_xi:

@@ -175,8 +175,13 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     if pad:
-        img = np.zeros((n, h + 2 * pad, w + 2 * pad, ci), x.dtype)
-        img[:, pad:pad + h, pad:pad + w, :] = x
+        # zero only the border, then copy the input into the interior
+        img = np.empty((n, h + 2 * pad, w + 2 * pad, ci), x.dtype)
+        img[:, :pad] = 0
+        img[:, pad + h:] = 0
+        img[:, pad:pad + h, :pad] = 0
+        img[:, pad:pad + h, pad + w:] = 0
+        img[:, pad:pad + h, pad:pad + w] = x
     else:
         img = x
     # one read-only (n, oh, ow, kh, kw, ci) window view of the padded input;

@@ -203,7 +203,7 @@ class TestMsnLoss:
 
     @pytest.mark.parametrize("count", [2, 3, 4])
     @pytest.mark.parametrize("mode", DISTANCE_MODES)
-    def test_shared_partition_equals_each_head_alone(self, rng, count, mode):
+    def test_each_head_equals_msl_total_alone(self, rng, count, mode):
         # classes 3, 4 and 2 have two or more members and come unsorted;
         # class 0 has one member and class 1 none
         y = np.array([3, 4, 2, 3, 0, 2, 4, 3, 2, 4, 3])
