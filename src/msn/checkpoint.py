@@ -7,6 +7,7 @@ rank u8, extents as u32 LE each, raw values little-endian.
 
 from __future__ import annotations
 
+import math
 import os
 import secrets
 import struct
@@ -90,9 +91,13 @@ def _read_exact(fh, count: int, what: str) -> bytes:
 
 
 def read_tensors(path) -> dict:
+    """Name -> array as ``write_tensors`` wrote them. A malformed byte outside
+    the tensor values raises CheckpointError; each tensor's byte count is
+    checked against the bytes left in the file before its values are read."""
     path = Path(path)
     tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, 4, "magic")
         if magic != MAGIC:
             raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -102,19 +107,26 @@ def read_tensors(path) -> dict:
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"tensor name is not UTF-8: {exc}") from exc
             if name in tensors:
                 raise DuplicateTensorError(f"duplicate tensor name {name!r}")
             code, rank = struct.unpack("<BB", _read_exact(fh, 2, "dtype/rank"))
             if code not in _CODE_DTYPES:
-                raise CheckpointError(f"{name}: unknown dtype code {code}")
+                raise CheckpointError(f"{name!r}: unknown dtype code {code}")
             if not (1 <= rank <= 4):
-                raise CheckpointError(f"{name}: rank {rank} outside 1..4")
+                raise CheckpointError(f"{name!r}: rank {rank} outside 1..4")
             extents = struct.unpack(
                 "<" + "I" * rank, _read_exact(fh, 4 * rank, "extents"))
             dtype = _CODE_DTYPES[code]
-            nbytes = int(np.prod(extents)) * dtype.itemsize
-            raw = _read_exact(fh, nbytes, f"values of {name}")
+            nbytes = math.prod(extents) * dtype.itemsize
+            if nbytes > size - fh.tell():
+                raise TruncatedError(
+                    f"{name!r}: extents {extents} need {nbytes} bytes, "
+                    f"{size - fh.tell()} left in the file")
+            raw = _read_exact(fh, nbytes, f"values of {name!r}")
             arr = np.frombuffer(raw, dtype=dtype).reshape(extents)
             tensors[name] = arr.astype(dtype.newbyteorder("="), copy=True)
         if fh.read(1):

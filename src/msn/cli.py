@@ -101,12 +101,15 @@ def cmd_eval(args) -> int:
                                data_dir=args.data_dir or config.data.data_dir)
     config = dataclasses.replace(config, data=data)
     _, test_ds = load_datasets(config)
-    state, _, _ = load_checkpoint(ckpt_path, config.network)
+    state, _, _ = load_checkpoint(ckpt_path, config.network,
+                                  xi_factory=config.train.xi_factory)
     print(f"test_error={evaluate(state, test_ds):.6f}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {args.seed}")
     results = run_suites(args.suite, seed=args.seed)
     for result in results:
         print(result.line())

@@ -172,55 +172,55 @@ def evaluate(state: NetworkState, dataset: LabeledDataset,
     return wrong / len(dataset) if len(dataset) else 0.0
 
 
+def _run_state(state: NetworkState, opt_state: OptimizerState, xi_states,
+               iteration) -> dict:
+    """Every checkpoint tensor by name: the live parameter, buffer and velocity
+    arrays, the xi of each head with an entry in ``xi_states``, packed as
+    ``[xi, n, *history]``, and the iteration, a view of it if it is an array."""
+    tensors = {name: t.data for name, t in state.params.items()} | state.buffers
+    tensors |= {f"opt.velocity.{name}": v for name, v in opt_state.velocity.items()}
+    for head, xi in zip(state.heads, xi_states):
+        tensors[f"xi.head{head.attach_block}.state"] = np.array(
+            [xi.xi, len(xi.history), *xi.history], dtype=np.float64)
+    tensors["meta.iteration"] = np.asarray(iteration, dtype=np.float64).reshape(1)
+    return tensors
+
+
 def save_checkpoint(state: NetworkState, opt_state: OptimizerState,
                     xi_states, path, iteration: int = 0) -> None:
     """All parameters, buffers, velocities, xi states, and the iteration."""
-    tensors: dict[str, np.ndarray] = {}
-    for name, t in state.params.items():
-        tensors[name] = t.data
-    for name, buf in state.buffers.items():
-        tensors[name] = buf
-    for name, v in opt_state.velocity.items():
-        tensors[f"opt.velocity.{name}"] = v
-    for head, xi in zip(state.heads, xi_states):
-        history = list(xi.history)
-        packed = np.array([xi.xi, float(len(history))] + history, dtype=np.float64)
-        tensors[f"xi.head{head.attach_block}.state"] = packed
-    tensors["meta.iteration"] = np.array([float(iteration)], dtype=np.float64)
-    ckpt.write_tensors(path, tensors)
+    ckpt.write_tensors(path, _run_state(state, opt_state, xi_states, iteration))
 
 
-def load_checkpoint(path, spec: NetworkSpec, xi_factory=XiState,
-                    dtype=np.float32) -> tuple:
-    """Rebuild (NetworkState, OptimizerState, iteration) from a checkpoint."""
-    tensors = ckpt.read_tensors(path)
-    state = build_network(spec, seed=0, dtype=dtype, xi_factory=xi_factory)
-    for name, t in state.params.items():
-        if name not in tensors:
-            raise ckpt.CheckpointError(f"checkpoint lacks parameter {name}")
-        if tensors[name].shape != t.data.shape:
+def load_checkpoint(path, spec: NetworkSpec, xi_factory=XiState) -> tuple:
+    """Rebuild (NetworkState, OptimizerState, iteration) from a checkpoint that
+    holds exactly what ``save_checkpoint`` writes for ``spec``, or raise
+    CheckpointError."""
+    stored = ckpt.read_tensors(path)
+    state = build_network(spec, seed=0, xi_factory=xi_factory)
+    opt_state, iteration = OptimizerState.zeros_like(state.params), np.zeros(1)
+    fixed = _run_state(state, opt_state, [], iteration)  # all but the xi states
+    live = _run_state(state, opt_state, [h.xi_state for h in state.heads], iteration)
+    if stored.keys() != live.keys():
+        raise ckpt.CheckpointError(
+            f"checkpoint does not match the network: missing {sorted(live.keys() - stored.keys())}"
+            f", unexpected {sorted(stored.keys() - live.keys())}")
+    for name, array in fixed.items():
+        if stored[name].shape != array.shape:
             raise ckpt.CheckpointError(
-                f"{name}: checkpoint shape {tensors[name].shape} vs "
-                f"network {t.data.shape}")
-        t.data = tensors[name].astype(t.data.dtype, copy=True)
-    for name in state.buffers:
-        if name not in tensors:
-            raise ckpt.CheckpointError(f"checkpoint lacks buffer {name}")
-        state.buffers[name] = tensors[name].astype(dtype, copy=True)
-    opt_state = OptimizerState.zeros_like(state.params)
-    for name in opt_state.velocity:
-        key = f"opt.velocity.{name}"
-        if key in tensors:
-            opt_state.velocity[name] = tensors[key].astype(dtype, copy=True)
-    for head in state.heads:
-        key = f"xi.head{head.attach_block}.state"
-        if key in tensors:
-            packed = tensors[key]
-            head.xi_state.xi = float(packed[0])
-            head.xi_state.history.clear()
-            head.xi_state.history.extend(packed[2:2 + int(packed[1])].tolist())
-    iteration = int(tensors.get("meta.iteration", np.zeros(1))[0])
-    return state, opt_state, iteration
+                f"{name}: checkpoint shape {stored[name].shape} vs network {array.shape}")
+        array[...] = stored[name]
+    for head, name in zip(state.heads, [key for key in live if key not in fixed]):
+        packed, history = stored[name], head.xi_state.history
+        n = len(packed) - 2
+        if packed.ndim != 1 or not 0 <= n <= history.maxlen or packed[1] != n:
+            raise ckpt.CheckpointError(f"{name}: not [xi, n, *history] with n <= "
+                                       f"{history.maxlen} history values")
+        head.xi_state.xi = float(packed[0])
+        history.extend(packed[2:].tolist())
+    if not (iteration[0] >= 0 and float(iteration[0]).is_integer()):
+        raise ckpt.CheckpointError(f"stored iteration {iteration[0]} is not a count")
+    return state, opt_state, int(iteration[0])
 
 
 def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,

@@ -133,3 +133,48 @@ def test_overwrite_replaces_contents(tmp_path, rng):
     assert list(loaded) == ["b"]
     np.testing.assert_array_equal(loaded["b"], np.ones(2, dtype=np.float32))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt"]
+
+
+def value_spans(raw):
+    """(start, stop) byte offsets of each tensor's values in a checkpoint."""
+    (count,) = struct.unpack("<I", raw[6:10])
+    pos, spans = 10, []
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", raw[pos:pos + 2])
+        pos += 2 + name_len
+        code, rank = raw[pos], raw[pos + 1]
+        extents = struct.unpack("<" + "I" * rank, raw[pos + 2:pos + 2 + 4 * rank])
+        pos += 2 + 4 * rank
+        stop = pos + int(np.prod(extents)) * (4 if code == 0 else 8)
+        spans.append((pos, stop))
+        pos = stop
+    assert pos == len(raw)
+    return spans
+
+
+def header_offsets(raw):
+    """Offsets of every byte that is not part of a tensor's values."""
+    values = {i for start, stop in value_spans(raw) for i in range(start, stop)}
+    return [i for i in range(len(raw)) if i not in values]
+
+
+def test_name_that_is_not_utf8(tmp_path):
+    raw = C.MAGIC + struct.pack("<H", C.VERSION) + struct.pack("<I", 1)
+    raw += encode_tensor("x", np.arange(3, dtype=np.float64)).replace(b"x", b"\xff", 1)
+    path = tmp_path / "name.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(C.CheckpointError, match="UTF-8"):
+        C.read_tensors(path)
+
+
+@pytest.mark.parametrize("extents", [(2**31, 2**31), (2**32 - 1,) * 4, (1000, 1000)])
+def test_extents_beyond_the_file_are_truncation(tmp_path, extents):
+    # the count is checked against the file's size before any read, so a
+    # corrupt extent neither overflows nor allocates its claimed size
+    raw = C.MAGIC + struct.pack("<H", C.VERSION) + struct.pack("<I", 1)
+    raw += struct.pack("<H", 1) + b"x" + struct.pack("<BB", 0, len(extents))
+    raw += struct.pack("<" + "I" * len(extents), *extents) + bytes(64)
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(C.TruncatedError, match="left in the file"):
+        C.read_tensors(path)

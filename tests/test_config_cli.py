@@ -511,6 +511,28 @@ class TestCliTrainEval:
         ckpt.write_bytes(bytes(raw))
         assert run_cli(["eval", "--checkpoint", str(ckpt)]) == 2
 
+    def test_eval_corrupt_tensor_name_exits_2(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, minimal_config())
+        out = tmp_path / "run"
+        assert run_cli(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        ckpt = out / "final.ckpt"
+        raw = bytearray(ckpt.read_bytes())
+        raw[12] = 0xFF  # first byte of the first tensor's name
+        ckpt.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run_cli(["eval", "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_eval_loads_with_the_runs_xi_window(self, tmp_path, capsys):
+        # 201 losses fit window 150's history of 300, not the default's 200
+        config_path = write_config(tmp_path, minimal_config(iterations=201, xi={"window": 150}))
+        out = tmp_path / "run"
+        assert run_cli(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run_cli(["eval", "--checkpoint", str(out / "final.ckpt")]) == 0
+        assert capsys.readouterr().out.startswith("test_error=")
+
     def test_eval_missing_checkpoint_exits_2(self, tmp_path, capsys):
         code = run_cli(["eval", "--config", str(CONFIGS / "blobs_small.json"),
                         "--checkpoint", str(tmp_path / "missing.ckpt")])
@@ -578,3 +600,8 @@ class TestCliVerify:
 
     def test_unknown_suite_is_usage_error(self):
         assert run_cli(["verify", "--suite", "bogus"]) == 1
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run_cli(["verify", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seed must be non-negative, got -1"]

@@ -6,6 +6,7 @@ import pytest
 
 from msn import checkpoint as C
 from msn.data import synthetic_blobs
+from msn.losses import XiState
 from msn.network import NetworkSpec, build_network, predict
 from msn.tensor import NonFiniteError, Tensor
 from msn.trainer import (
@@ -21,6 +22,8 @@ from msn.trainer import (
     sgd_momentum_step,
     train,
 )
+
+from test_checkpoint import header_offsets
 
 
 def tiny_spec(**overrides):
@@ -270,6 +273,100 @@ class TestCheckpointResume:
         bigger = tiny_spec(attachment=(1, 2))
         with pytest.raises(C.CheckpointError):
             load_checkpoint(path, bigger)
+
+
+def trained_checkpoint(tmp_path, attachment=(1, 2), xi_window=4):
+    """A checkpoint of a short run: nonzero velocities, xi histories in use."""
+    spec = tiny_spec(attachment=attachment)
+    result = train(tiny_config(iterations=7, xi_window=xi_window), spec, tiny_blobs())
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(result.state, result.opt_state,
+                    [h.xi_state for h in result.state.heads], path, iteration=7)
+    return spec, path
+
+
+def rewrite(path, edit):
+    """Rewrite the checkpoint at ``path`` with ``edit`` applied to its tensors."""
+    tensors = C.read_tensors(path)
+    edit(tensors)
+    C.write_tensors(path, tensors)
+
+
+class TestStrictLoad:
+    """A checkpoint loads only if it holds exactly what save_checkpoint writes."""
+
+    def test_truncation_at_every_offset_is_rejected(self, tmp_path):
+        spec, path = trained_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(C.CheckpointError):
+                load_checkpoint(cut, spec)
+
+    def test_bit_flip_outside_tensor_values_is_rejected(self, tmp_path):
+        # magic, version, count, name lengths, names, dtype/rank and extents;
+        # a flip inside tensor values still loads (the format has no checksum)
+        spec, path = trained_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        flipped = tmp_path / "flipped.ckpt"
+        for offset in header_offsets(raw):
+            bad = bytearray(raw)
+            bad[offset] ^= 1 << offset % 8
+            flipped.write_bytes(bytes(bad))
+            with pytest.raises(C.CheckpointError):
+                load_checkpoint(flipped, spec)
+
+    @pytest.mark.parametrize("name", ["opt.velocity.block1.conv1.bias",
+                                      "opt.velocity.head2.fc.weight",
+                                      "xi.head1.state", "meta.iteration"])
+    def test_missing_tensor_is_rejected_by_name(self, tmp_path, name):
+        spec, path = trained_checkpoint(tmp_path)
+        rewrite(path, lambda tensors: tensors.pop(name))
+        with pytest.raises(C.CheckpointError, match=rf"missing \['{name}'\], unexpected \[\]"):
+            load_checkpoint(path, spec)
+
+    def test_extra_head_is_rejected_by_name(self, tmp_path):
+        _, path = trained_checkpoint(tmp_path, attachment=(1, 2))
+        with pytest.raises(C.CheckpointError) as exc:
+            load_checkpoint(path, tiny_spec(attachment=(2,)))
+        extra = ["head1.fc.bias", "head1.fc.weight", "opt.velocity.head1.fc.bias",
+                 "opt.velocity.head1.fc.weight", "xi.head1.state"]
+        assert str(exc.value).endswith(f"missing [], unexpected {extra}")
+
+    def test_xi_history_longer_than_the_window_is_rejected(self, tmp_path):
+        # 7 iterations at window 4 leave 7 losses, more than window 3 holds
+        spec, path = trained_checkpoint(tmp_path, xi_window=4)
+        assert len(C.read_tensors(path)["xi.head1.state"]) == 2 + 7
+        _, _, iteration = load_checkpoint(path, spec, xi_factory=lambda: XiState(window=4))
+        assert iteration == 7
+        with pytest.raises(C.CheckpointError, match="xi.head1.state"):
+            load_checkpoint(path, spec, xi_factory=lambda: XiState(window=3))
+
+    @pytest.mark.parametrize("packed", [[0.5], [0.5, 3.0, 1.0, 2.0], [0.5, 1.0, 1.0, 2.0],
+                                        [0.5, np.nan, 1.0]])
+    def test_xi_count_must_match_its_history(self, tmp_path, packed):
+        spec, path = trained_checkpoint(tmp_path)
+        rewrite(path, lambda tensors: tensors.update(
+            {"xi.head2.state": np.array(packed, dtype=np.float64)}))
+        with pytest.raises(C.CheckpointError, match="xi.head2.state"):
+            load_checkpoint(path, spec)
+
+    @pytest.mark.parametrize("name,shape", [("head2.fc.bias", (4,)),
+                                            ("opt.velocity.block2.conv1.kernel", (3, 3, 2, 5)),
+                                            ("meta.iteration", (2,))])
+    def test_wrong_shape_is_rejected_by_name(self, tmp_path, name, shape):
+        spec, path = trained_checkpoint(tmp_path)
+        rewrite(path, lambda tensors: tensors.update({name: np.zeros(shape, np.float32)}))
+        with pytest.raises(C.CheckpointError, match=rf"^{name}: checkpoint shape"):
+            load_checkpoint(path, spec)
+
+    @pytest.mark.parametrize("value", [-1.0, 2.5, np.nan, np.inf])
+    def test_iteration_must_be_a_count(self, tmp_path, value):
+        spec, path = trained_checkpoint(tmp_path)
+        rewrite(path, lambda tensors: tensors.update({"meta.iteration": np.array([value])}))
+        with pytest.raises(C.CheckpointError, match="iteration"):
+            load_checkpoint(path, spec)
 
 
 class TestConfigValidation:
