@@ -47,9 +47,10 @@ def write_tensors(path, tensors: dict) -> None:
 
     All or nothing: every tensor is checked before a byte is written, the
     bytes go to a temporary file in the target's directory, and that file
-    replaces ``path`` only once it is flushed and synced. On any failure an
-    existing file at ``path`` is left as it was and the temporary file is
-    removed.
+    replaces ``path`` only once it is flushed and synced; the directory is
+    synced after the rename so the new entry survives a crash. On any failure
+    before the rename an existing file at ``path`` is left as it was and the
+    temporary file is removed.
     """
     path = Path(path)
     arrays = []
@@ -81,6 +82,11 @@ def write_tensors(path, tensors: dict) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:

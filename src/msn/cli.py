@@ -100,9 +100,9 @@ def cmd_eval(args) -> int:
     data = dataclasses.replace(config.data, dataset=args.dataset or config.data.dataset,
                                data_dir=args.data_dir or config.data.data_dir)
     config = dataclasses.replace(config, data=data)
-    _, test_ds = load_datasets(config)
     state, _, _ = load_checkpoint(ckpt_path, config.network,
                                   xi_factory=config.train.xi_factory)
+    _, test_ds = load_datasets(config)
     print(f"test_error={evaluate(state, test_ds):.6f}")
     return EXIT_OK
 

@@ -250,16 +250,23 @@ class ZcaTransform:
 
 
 def zca_fit(images: np.ndarray, eps: float = 1e-2) -> ZcaTransform:
-    """Eigendecompose the pixel covariance; matrix = U diag(1/sqrt(l+eps)) U^T."""
+    """matrix = U diag(1/sqrt(l+eps)) U^T for the pixel covariance U diag(l) U^T.
+
+    Fitted from a thin SVD of the centred N x D pixels, O(N D min(N, D)):
+    the rows of Vt are the covariance eigenvectors with l = s^2/N, so
+    matrix = Vt^T diag(1/sqrt(l+eps) - 1/sqrt(eps)) Vt + I/sqrt(eps). Every
+    direction orthogonal to the centred data (at least D-N+1 of them when
+    N < D) has l = 0 and is scaled by exactly 1/sqrt(eps).
+    """
     if len(images) < 2:
         raise ValueError(f"need at least 2 samples to fit ZCA, got {len(images)}")
     flat = images.reshape(len(images), -1).astype(np.float64)
     mean = flat.mean(axis=0)
     centered = flat - mean
-    cov = centered.T @ centered / len(images)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    eigvals = np.clip(eigvals, 0.0, None)
-    matrix = (eigvecs * (1.0 / np.sqrt(eigvals + eps))) @ eigvecs.T
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    scale = 1.0 / np.sqrt(s ** 2 / len(images) + eps) - 1.0 / np.sqrt(eps)
+    matrix = (vt.T * scale) @ vt
+    matrix[np.diag_indices_from(matrix)] += 1.0 / np.sqrt(eps)
     return ZcaTransform(mean=mean, matrix=matrix, eps=eps)
 
 

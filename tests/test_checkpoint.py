@@ -1,5 +1,7 @@
 """Binary checkpoint format: roundtrips and every structured failure mode."""
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -123,6 +125,21 @@ def test_write_error_mid_file_removes_temporary(tmp_path, rng, monkeypatch):
         C.write_tensors(path, sample_tensors(rng))
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt"]
+
+
+def test_directory_synced_after_file(tmp_path, rng, monkeypatch):
+    path = tmp_path / "a.ckpt"
+    synced = []
+    real_fsync = C.os.fsync
+
+    def record(fd):
+        st = os.fstat(fd)
+        synced.append((stat.S_ISDIR(st.st_mode), st.st_ino))
+        real_fsync(fd)
+
+    monkeypatch.setattr(C.os, "fsync", record)
+    C.write_tensors(path, sample_tensors(rng))
+    assert synced == [(False, path.stat().st_ino), (True, tmp_path.stat().st_ino)]
 
 
 def test_overwrite_replaces_contents(tmp_path, rng):

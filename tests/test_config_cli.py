@@ -10,6 +10,8 @@ import pytest
 
 from msn.cli import main
 from msn.config import ConfigError, RunConfig, load_datasets
+from msn.network import build_network
+from msn.trainer import OptimizerState, save_checkpoint
 
 from test_data import write_tiny_archive
 
@@ -524,6 +526,23 @@ class TestCliTrainEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_eval_reads_checkpoint_before_building_datasets(self, tmp_path, capsys,
+                                                            monkeypatch):
+        config_path = write_config(tmp_path, minimal_config())
+        out = tmp_path / "run"
+        assert run_cli(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        ckpt = out / "final.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-5])
+
+        def no_datasets(config):
+            pytest.fail("datasets built before the checkpoint was read")
+
+        monkeypatch.setattr("msn.cli.load_datasets", no_datasets)
+        capsys.readouterr()
+        assert run_cli(["eval", "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_eval_loads_with_the_runs_xi_window(self, tmp_path, capsys):
         # 201 losses fit window 150's history of 300, not the default's 200
         config_path = write_config(tmp_path, minimal_config(iterations=201, xi={"window": 150}))
@@ -567,8 +586,15 @@ class TestCliTrainEval:
         raw["data"]["data_dir"] = str(data_dir)
         config_path = str(write_config(tmp_path, raw))
         out = tmp_path / "run"
-        argv = (["train", "--config", config_path, "--out", str(out)] if command == "train"
-                else ["eval", "--config", config_path, "--checkpoint", str(out / "final.ckpt")])
+        if command == "train":
+            argv = ["train", "--config", config_path, "--out", str(out)]
+        else:
+            # eval reads the checkpoint first, so give it a valid one to reach the data
+            net = build_network(RunConfig.from_dict(raw).network, seed=0)
+            ckpt = tmp_path / "final.ckpt"
+            save_checkpoint(net, OptimizerState.zeros_like(net.params),
+                            [h.xi_state for h in net.heads], ckpt)
+            argv = ["eval", "--config", config_path, "--checkpoint", str(ckpt)]
         assert run_cli(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")

@@ -60,7 +60,6 @@ class TestZca:
         assert np.abs(t.matrix - np.eye(d)).max() <= 0.05
 
     def test_matrix_is_symmetric(self, rng):
-        x = rng.standard_normal((200, 3, 3, 1)) @ np.ones((1, 1))
         t = D.zca_fit(rng.random((200, 3, 3, 2)))
         assert np.abs(t.matrix - t.matrix.T).max() <= 1e-6
 
@@ -86,6 +85,38 @@ class TestZca:
     def test_needs_two_samples(self, rng):
         with pytest.raises(ValueError):
             D.zca_fit(rng.random((1, 2, 2, 1)))
+
+    @staticmethod
+    def covariance_eigh_matrix(images, eps):
+        """The textbook fit: U diag(1/sqrt(l+eps)) U^T of the pixel covariance."""
+        flat = images.reshape(len(images), -1)
+        centered = flat - flat.mean(axis=0)
+        eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / len(images))
+        eigvals = np.clip(eigvals, 0.0, None)
+        return (eigvecs * (1.0 / np.sqrt(eigvals + eps))) @ eigvecs.T
+
+    @pytest.mark.parametrize("shape", [(40, 6, 6, 3), (300, 3, 3, 2)],
+                             ids=["rank_deficient", "full_rank"])
+    def test_matches_covariance_eigendecomposition(self, rng, shape):
+        x = rng.random(shape)
+        ref = self.covariance_eigh_matrix(x, 1e-2)
+        t = D.zca_fit(x, eps=1e-2)
+        assert np.abs(t.matrix - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_direction_outside_the_data_scaled_by_inverse_sqrt_eps(self, rng):
+        x = rng.random((10, 4, 4, 1))
+        centered = (x - x.mean(axis=0)).reshape(10, -1)
+        q, _ = np.linalg.qr(np.concatenate([centered.T, rng.standard_normal((16, 1))],
+                                           axis=1))
+        v = q[:, -1]  # orthogonal to every centred training image
+        t = D.zca_fit(x, eps=1e-2)
+        np.testing.assert_allclose(v @ t.matrix, v / np.sqrt(1e-2), rtol=0, atol=1e-12)
+
+    def test_identical_images_give_scaled_identity(self, rng):
+        x = np.repeat(rng.random((1, 2, 3, 2)), 2, axis=0)
+        t = D.zca_fit(x, eps=1e-2)
+        assert np.isfinite(t.matrix).all()
+        np.testing.assert_allclose(t.matrix, np.eye(12) / np.sqrt(1e-2), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
