@@ -229,8 +229,7 @@ def load_datasets(config: RunConfig):
         per_class = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]
         train = np.concatenate([idx[:b.train_per_class] for idx in per_class])
         test = np.concatenate([idx[b.train_per_class:][:b.test_per_class] for idx in per_class])
-        train = dataclasses.replace(ds.take(train), split="train")
-        test = dataclasses.replace(ds.take(test), split="test")
+        train, test = ds.take(train), ds.take(test)
     else:
         data_dir = dc.resolve_data_dir()
         if not D.cifar10_files_present(data_dir):

@@ -63,7 +63,6 @@ class LabeledDataset:
     images: np.ndarray
     labels: np.ndarray
     num_classes: int
-    split: str = "train"
 
     def __post_init__(self):
         if self.images.ndim != 4:
@@ -94,7 +93,7 @@ class LabeledDataset:
 
     def take(self, indices) -> "LabeledDataset":
         return LabeledDataset(images=self.images[indices], labels=self.labels[indices],
-                              num_classes=self.num_classes, split=self.split)
+                              num_classes=self.num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +220,8 @@ def load_cifar10(data_dir) -> tuple:
     train = LabeledDataset(
         images=np.concatenate([p[0] for p in train_parts]),
         labels=np.concatenate([p[1] for p in train_parts]),
-        num_classes=10, split="train")
-    test = LabeledDataset(images=test_images, labels=test_labels,
-                          num_classes=10, split="test")
+        num_classes=10)
+    test = LabeledDataset(images=test_images, labels=test_labels, num_classes=10)
     return train, test
 
 
@@ -246,7 +244,6 @@ class ZcaTransform:
 
     mean: np.ndarray
     matrix: np.ndarray
-    eps: float
 
 
 def zca_fit(images: np.ndarray, eps: float = 1e-2) -> ZcaTransform:
@@ -267,7 +264,7 @@ def zca_fit(images: np.ndarray, eps: float = 1e-2) -> ZcaTransform:
     scale = 1.0 / np.sqrt(s ** 2 / len(images) + eps) - 1.0 / np.sqrt(eps)
     matrix = (vt.T * scale) @ vt
     matrix[np.diag_indices_from(matrix)] += 1.0 / np.sqrt(eps)
-    return ZcaTransform(mean=mean, matrix=matrix, eps=eps)
+    return ZcaTransform(mean=mean, matrix=matrix)
 
 
 def zca_apply(transform: ZcaTransform, images: np.ndarray) -> np.ndarray:
@@ -339,8 +336,7 @@ def synthetic_blobs(num_classes: int, per_class: int, image_shape=(8, 8, 1),
     images = templates[labels] + noise * rng.standard_normal((len(labels),) + tuple(image_shape))
     order = rng.permutation(len(labels))
     return LabeledDataset(images=images[order].astype(np.float32),
-                          labels=labels[order], num_classes=num_classes,
-                          split="train")
+                          labels=labels[order], num_classes=num_classes)
 
 
 def subset_per_class(dataset: LabeledDataset, classes, per_class: int,
@@ -357,4 +353,4 @@ def subset_per_class(dataset: LabeledDataset, classes, per_class: int,
         new_labels.append(np.full(per_class, new_label, dtype=np.int64))
     return LabeledDataset(images=dataset.images[np.concatenate(picks)],
                           labels=np.concatenate(new_labels),
-                          num_classes=len(classes), split=dataset.split)
+                          num_classes=len(classes))

@@ -117,15 +117,6 @@ class LossBreakdown:
         return float(np.mean(list(self.per_class_distance.values())))
 
 
-def softmax_probs(q) -> np.ndarray:
-    """Row-wise softmax with max subtraction; rows sum to 1, entries in (0, 1)."""
-    q = np.asarray(q, dtype=np.float64)
-    check_finite(q, "logits")
-    shifted = q - q.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def between_class_loss(batch: LogitBatch) -> tuple[float, np.ndarray]:
     """Batch-mean cross-entropy over softmax probabilities.
 

@@ -156,9 +156,6 @@ class NetworkState:
     heads: list
     dtype: np.dtype = np.float32
 
-    def num_params(self) -> int:
-        return sum(t.data.size for t in self.params.values())
-
     def zero_grads(self) -> None:
         for t in self.params.values():
             t.grad = None
@@ -293,33 +290,32 @@ def forward_heads(state: NetworkState, images, mode: str = "train",
     return logits
 
 
-def msn_loss(heads: Sequence, within_weight: float = 1.0,
-             distance_mode: str = "euclidean"):
-    """Average the per-head combined losses into the network objective.
+def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,
+                    xi_states: Sequence, within_weight: float = 1.0,
+                    distance_mode: str = "euclidean", update_xi: bool = True):
+    """Build the scalar loss node: the mean of the heads' combined losses.
 
-    ``heads`` is a sequence of (LogitBatch, XiState) pairs sharing one label
-    vector. Returns (aggregate breakdown, per-head breakdowns, per-head logit
-    gradients already scaled by 1/len(heads)). Pure: the thresholds are read,
-    never advanced.
+    Each head's logits, with the one ``labels`` vector, are scored by
+    ``msl_total`` at that head's threshold. Returns (loss node, aggregate
+    breakdown, per-head breakdowns). Backward seeds each head's logits with its
+    gradient scaled by 1/len(heads), from where reverse accumulation reaches the
+    whole trunk. This is the one place that advances each head's threshold with
+    its own within-class loss, unless ``update_xi`` is False.
     """
-    if not heads:
-        raise ValueError("msn_loss needs at least one head")
-    labels = heads[0][0].y
-    for batch, _ in heads[1:]:
-        if not np.array_equal(batch.y, labels):
-            raise ValueError("all heads must share the same labels")
-
+    if not logit_tensors or len(logit_tensors) != len(xi_states):
+        raise ValueError(f"need at least one head and one xi state per head, got "
+                         f"{len(logit_tensors)} heads and {len(xi_states)} xi states")
     per_head = []
     grads = []
-    scale = 1.0 / len(heads)
-    for batch, xi_state in heads:
-        breakdown, grad = msl_total(batch, xi_state.xi,
+    scale = 1.0 / len(logit_tensors)
+    for t, xi_state in zip(logit_tensors, xi_states):
+        breakdown, grad = msl_total(LogitBatch(q=t.data, y=labels), xi_state.xi,
                                     within_weight=within_weight,
                                     distance_mode=distance_mode)
         per_head.append(breakdown)
         grads.append(grad * scale)
 
-    # shared labels give every head the same classes, in ascending order
+    # one label vector gives every head the same classes, in ascending order
     mean_distances = {j: float(np.mean([bd.per_class_distance[j] for bd in per_head]))
                       for j in per_head[0].per_class_distance}
     aggregate = LossBreakdown(
@@ -328,24 +324,6 @@ def msn_loss(heads: Sequence, within_weight: float = 1.0,
         total=float(np.mean([bd.total for bd in per_head])),
         per_class_distance=mean_distances,
     )
-    return aggregate, per_head, grads
-
-
-def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,
-                    xi_states: Sequence, within_weight: float = 1.0,
-                    distance_mode: str = "euclidean", update_xi: bool = True):
-    """Build the scalar loss node over the heads' logit tensors.
-
-    Backward seeds each head's logits with its share of the averaged gradient,
-    from where reverse accumulation reaches the whole trunk. This is the one
-    place that advances each head's threshold with its own within-class loss,
-    unless ``update_xi`` is False.
-    """
-    if len(logit_tensors) != len(xi_states):
-        raise ValueError("one xi state per head is required")
-    pairs = [(LogitBatch(q=t.data, y=labels), xi) for t, xi in zip(logit_tensors, xi_states)]
-    aggregate, per_head, grads = msn_loss(pairs, within_weight=within_weight,
-                                          distance_mode=distance_mode)
     if update_xi:
         for xi_state, breakdown in zip(xi_states, per_head):
             xi_state.update(breakdown.within)

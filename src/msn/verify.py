@@ -17,10 +17,9 @@ from .losses import (
     XiState,
     between_class_loss,
     msl_total,
-    softmax_probs,
     within_class_loss,
 )
-from .network import NetworkSpec, attach_msn_loss, build_network, forward_heads, msn_loss
+from .network import NetworkSpec, attach_msn_loss, build_network, forward_heads
 from .tensor import (
     Tensor,
     batch_norm,
@@ -192,9 +191,15 @@ def oracle_suite(seed: int = 0) -> list:
     results.append(CheckResult("oracle/global_average_pool_vs_mean",
                                _rel(out.data, oracles.gap_loops(x)), 1e-12))
 
+    # between_class_loss's gradient is (p - onehot(y)) / N: recover its p.
+    # The labels take no draw, so every later check sees the same numbers.
     q = rng.standard_normal((5, 7)) * 3
+    y = np.arange(5)
+    _, grad = between_class_loss(LogitBatch(q=q, y=y))
+    p = grad * len(q)
+    p[np.arange(5), y] += 1.0
     results.append(CheckResult("oracle/softmax_vs_direct",
-                               _rel(softmax_probs(q), oracles.softmax_direct(q)), 1e-12))
+                               _rel(p, oracles.softmax_direct(q)), 1e-12))
 
     q = rng.standard_normal((5, 4))
     y = rng.integers(0, 4, 5)
@@ -260,9 +265,8 @@ def invariant_suite(seed: int = 0) -> list:
     for count in (1, 2, 3, 4):
         n, c = 12, 4
         y = rng.integers(0, c, n)
-        heads = [(LogitBatch(q=rng.standard_normal((n, c)) * 2, y=y), XiState())
-                 for _ in range(count)]
-        aggregate, per_head, _ = msn_loss(heads)
+        logits = [Tensor(rng.standard_normal((n, c)) * 2) for _ in range(count)]
+        _, aggregate, per_head = attach_msn_loss(logits, y, [XiState() for _ in logits])
         mean_total = float(np.mean([bd.total for bd in per_head]))
         worst = max(worst, abs(aggregate.total - mean_total))
     results.append(CheckResult("invariant/head_averaging", worst, 1e-12))

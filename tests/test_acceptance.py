@@ -31,7 +31,8 @@ from msn.losses import (
     msl_total,
     within_class_loss,
 )
-from msn.network import NetworkSpec, msn_loss
+from msn.network import NetworkSpec, attach_msn_loss
+from msn.tensor import Tensor
 from msn.trainer import (
     TrainConfig,
     batch_indices_for_iteration,
@@ -149,12 +150,16 @@ def test_criterion_05_head_averaging():
     for count in (1, 2, 3, 4):
         n, c = 24, 6
         y = rng.integers(0, c, n)
-        heads = [(LogitBatch(q=rng.standard_normal((n, c)) * 2, y=y),
-                  XiState(initial_xi=0.1 * (i + 1))) for i in range(count)]
-        aggregate, per_head, grads = msn_loss(heads)
+        logits = [Tensor(rng.standard_normal((n, c)) * 2, requires_grad=True)
+                  for _ in range(count)]
+        xi_states = [XiState(initial_xi=0.1 * (i + 1)) for i in range(count)]
+        loss, aggregate, per_head = attach_msn_loss(logits, y, xi_states)
         mean_total = float(np.mean([bd.total for bd in per_head]))
         worst = max(worst, abs(aggregate.total - mean_total))
-        assert len(grads) == count
+        loss.backward()
+        for t, xi_state in zip(logits, xi_states):
+            _, alone_grad = msl_total(LogitBatch(q=t.data, y=y), xi_state.xi)
+            np.testing.assert_array_equal(t.grad, alone_grad * (1.0 / count))
     assert worst <= 1e-12
     report(5, f"head counts 1-4, worst deviation {worst:.2e}")
 

@@ -405,7 +405,6 @@ class TestLoader:
         self.write_batches(tmp_path, records_per_file=3)
         train, test = D.load_cifar10(tmp_path)
         assert len(train) == 15 and len(test) == 3
-        assert train.split == "train" and test.split == "test"
 
     def test_truncated_file_rejected(self, tmp_path):
         self.write_batches(tmp_path)

@@ -16,7 +16,6 @@ from msn.losses import (
     between_class_loss,
     msl_total,
     pair_count,
-    softmax_probs,
     within_class_loss,
 )
 from msn.tensor import NonFiniteError
@@ -33,30 +32,36 @@ def logit_batches(draw, max_n=16, max_c=6):
     return LogitBatch(q=q, y=y)
 
 
+def softmax_of(q):
+    """The p that between_class_loss computes, read back from its gradient
+    (p - onehot(y)) / N with every label 0."""
+    n = len(q)
+    _, grad = between_class_loss(LogitBatch(q=q, y=np.zeros(n, dtype=np.int64)))
+    p = grad * n
+    p[:, 0] += 1.0
+    return p
+
+
 class TestSoftmax:
     def test_uniform(self):
-        np.testing.assert_allclose(softmax_probs(np.array([[0.0, 0.0, 0.0]])), 1 / 3,
+        np.testing.assert_allclose(softmax_of(np.array([[0.0, 0.0, 0.0]])), 1 / 3,
                                    rtol=1e-15)
 
     def test_two_to_one(self):
-        p = softmax_probs(np.array([[math.log(2.0), 0.0]]))
+        p = softmax_of(np.array([[math.log(2.0), 0.0]]))
         np.testing.assert_allclose(p, [[2 / 3, 1 / 3]], rtol=1e-12)
 
     def test_matches_direct_oracle(self, rng):
         q = rng.standard_normal((5, 7)) * 3
-        np.testing.assert_allclose(softmax_probs(q), oracles.softmax_direct(q), atol=1e-12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NonFiniteError):
-            softmax_probs(np.array([[np.inf, 0.0]]))
+        np.testing.assert_allclose(softmax_of(q), oracles.softmax_direct(q), atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(q=arrays(np.float64, (3, 4), elements=finite_floats), shift=finite_floats)
     def test_row_shift_invariance(self, q, shift):
-        base = softmax_probs(q)
+        base = softmax_of(q)
         shifted = q.copy()
         shifted[1] += shift
-        moved = softmax_probs(shifted)
+        moved = softmax_of(shifted)
         assert np.abs(moved[1] - base[1]).max() <= 1e-12
         assert np.abs(base.sum(axis=1) - 1.0).max() <= 1e-12
 
@@ -97,7 +102,8 @@ class TestBetweenClassLoss:
         q = rng.standard_normal((n, c)) * scale
         y = rng.integers(0, c, n)
         _, grad = between_class_loss(LogitBatch(q=q, y=y))
-        np.testing.assert_array_equal(grad, (softmax_probs(q) - np.eye(c)[y]) / n)
+        e = np.exp(q - q.max(axis=1, keepdims=True))
+        np.testing.assert_array_equal(grad, (e / e.sum(axis=1, keepdims=True) - np.eye(c)[y]) / n)
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]

@@ -14,7 +14,6 @@ from msn.network import (
     attach_msn_loss,
     build_network,
     forward_heads,
-    msn_loss,
     predict,
 )
 from msn.tensor import NonFiniteError, Tensor, conv2d, grad_check, no_grad
@@ -105,7 +104,7 @@ class TestBuild:
             + head(16, 10) + head(16, 10) + head(32, 10) + head(64, 10)
         )
         assert expected == 78728
-        assert state.num_params() == expected
+        assert sum(t.data.size for t in state.params.values()) == expected
 
     def test_same_seed_is_bit_identical(self):
         spec = small_spec()
@@ -168,36 +167,39 @@ class TestForwardHeads:
 
 class TestMsnLoss:
     def make_heads(self, rng, count, n=12, c=4):
+        """Shared labels and one logits tensor per head."""
         y = rng.integers(0, c, n)
-        return [(LogitBatch(q=rng.standard_normal((n, c)) * 2, y=y), XiState())
-                for _ in range(count)]
+        return y, [Tensor(rng.standard_normal((n, c)) * 2, requires_grad=True)
+                   for _ in range(count)]
 
     def test_single_head_equals_msl_total(self, rng):
-        heads = self.make_heads(rng, 1)
-        aggregate, per_head, _ = msn_loss(heads)
-        expected, _ = msl_total(heads[0][0], heads[0][1].xi)
+        y, logits = self.make_heads(rng, 1)
+        xi_state = XiState()
+        _, aggregate, per_head = attach_msn_loss(logits, y, [xi_state])
+        expected, _ = msl_total(LogitBatch(q=logits[0].data, y=y), xi_state.xi)
         assert aggregate.total == pytest.approx(expected.total, abs=1e-15)
         assert len(per_head) == 1
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     def test_aggregate_is_arithmetic_mean(self, rng, count):
-        heads = self.make_heads(rng, count)
-        aggregate, per_head, grads = msn_loss(heads)
+        y, logits = self.make_heads(rng, count)
+        loss, aggregate, per_head = attach_msn_loss(logits, y, [XiState() for _ in logits])
         mean_total = np.mean([bd.total for bd in per_head])
         assert abs(aggregate.total - mean_total) <= 1e-12
-        assert len(grads) == count
+        loss.backward()
+        assert sum(t.grad is not None for t in logits) == count
 
     def test_identical_heads_average_to_single(self, rng):
         y = rng.integers(0, 4, 10)
         q = rng.standard_normal((10, 4))
-        heads = [(LogitBatch(q=q.copy(), y=y), XiState()) for _ in range(3)]
-        aggregate, per_head, _ = msn_loss(heads)
+        logits = [Tensor(q.copy()) for _ in range(3)]
+        _, aggregate, per_head = attach_msn_loss(logits, y, [XiState() for _ in logits])
         assert aggregate.total == pytest.approx(per_head[0].total, abs=1e-12)
 
     def test_removing_a_head_follows_averaging_formula(self, rng):
-        heads = self.make_heads(rng, 4)
-        full, per_head, _ = msn_loss(heads)
-        reduced, _, _ = msn_loss(heads[:-1])
+        y, logits = self.make_heads(rng, 4)
+        _, full, per_head = attach_msn_loss(logits, y, [XiState() for _ in logits])
+        _, reduced, _ = attach_msn_loss(logits[:-1], y, [XiState() for _ in logits[:-1]])
         expected = (full.total * 4 - per_head[-1].total) / 3
         assert abs(reduced.total - expected) <= 1e-12
 
@@ -207,15 +209,18 @@ class TestMsnLoss:
         # classes 3, 4 and 2 have two or more members and come unsorted;
         # class 0 has one member and class 1 none
         y = np.array([3, 4, 2, 3, 0, 2, 4, 3, 2, 4, 3])
-        heads = [(LogitBatch(q=rng.standard_normal((len(y), 5)) * 2, y=y.copy()),
-                  XiState(initial_xi=0.1 * (h + 1) ** 3)) for h in range(count)]
-        _, per_head, grads = msn_loss(heads, within_weight=0.7, distance_mode=mode)
-        for (batch, xi_state), breakdown, grad in zip(heads, per_head, grads):
-            alone, alone_grad = msl_total(batch, xi_state.xi, within_weight=0.7,
-                                          distance_mode=mode)
+        logits = [Tensor(rng.standard_normal((len(y), 5)) * 2, requires_grad=True)
+                  for _ in range(count)]
+        xi_states = [XiState(initial_xi=0.1 * (h + 1) ** 3) for h in range(count)]
+        loss, _, per_head = attach_msn_loss(logits, y, xi_states, within_weight=0.7,
+                                            distance_mode=mode)
+        loss.backward()
+        for t, xi_state, breakdown in zip(logits, xi_states, per_head):
+            alone, alone_grad = msl_total(LogitBatch(q=t.data, y=y), xi_state.xi,
+                                          within_weight=0.7, distance_mode=mode)
             assert breakdown == alone
             assert list(breakdown.per_class_distance) == [2, 3, 4]
-            np.testing.assert_array_equal(grad, alone_grad * (1.0 / count))
+            np.testing.assert_array_equal(t.grad, alone_grad * (1.0 / count))
 
     def test_each_head_checks_its_own_logits(self, rng):
         logits = [Tensor(rng.standard_normal((4, 3))) for _ in range(3)]
@@ -224,25 +229,21 @@ class TestMsnLoss:
             attach_msn_loss(logits, np.array([0, 0, 1, 1]),
                             [XiState() for _ in logits], update_xi=False)
 
-    def test_mismatched_labels_rejected(self, rng):
-        a = LogitBatch(q=rng.standard_normal((4, 3)), y=np.array([0, 1, 2, 0]))
-        b = LogitBatch(q=rng.standard_normal((4, 3)), y=np.array([0, 1, 2, 1]))
-        with pytest.raises(ValueError):
-            msn_loss([(a, XiState()), (b, XiState())])
-
     def test_empty_head_list_rejected(self):
         with pytest.raises(ValueError):
-            msn_loss([])
+            attach_msn_loss([], np.array([0, 1]), [])
+
+    def test_one_xi_state_per_head_required(self, rng):
+        y, logits = self.make_heads(rng, 2)
+        with pytest.raises(ValueError):
+            attach_msn_loss(logits, y, [XiState()])
 
     def test_update_xi_flag(self, rng):
-        heads = self.make_heads(rng, 2)
-        msn_loss(heads)  # pure: reads the thresholds, never advances them
-        assert all(len(xi.history) == 0 for _, xi in heads)
-        logits = [Tensor(batch.q) for batch, _ in heads]
-        labels, xi_states = heads[0][0].y, [xi for _, xi in heads]
-        attach_msn_loss(logits, labels, xi_states, update_xi=False)
+        y, logits = self.make_heads(rng, 2)
+        xi_states = [XiState() for _ in logits]
+        attach_msn_loss(logits, y, xi_states, update_xi=False)
         assert all(len(xi.history) == 0 for xi in xi_states)
-        _, _, per_head = attach_msn_loss(logits, labels, xi_states)
+        _, _, per_head = attach_msn_loss(logits, y, xi_states)
         assert [list(xi.history) for xi in xi_states] == [[bd.within] for bd in per_head]
 
 
