@@ -98,6 +98,21 @@ def gap_loops(x):
     return out
 
 
+def batch_norm_loops(x, gamma, beta, eps=1e-5):
+    """Train-mode batch norm: each channel shifted by the mean and scaled by
+    the biased variance of its values over every axis but the last."""
+    c = x.shape[-1]
+    rows = np.asarray(x, dtype=np.float64).reshape(-1, c)
+    out = np.zeros_like(rows)
+    for ch in range(c):
+        vals = [float(v) for v in rows[:, ch]]
+        mean = sum(vals) / len(vals)
+        var = sum((v - mean) ** 2 for v in vals) / len(vals)
+        for i, v in enumerate(vals):
+            out[i, ch] = gamma[ch] * (v - mean) / math.sqrt(var + eps) + beta[ch]
+    return out.reshape(x.shape)
+
+
 def linear_loops(x, w, bias):
     n, d = x.shape
     c = w.shape[1]

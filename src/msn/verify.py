@@ -7,6 +7,7 @@ The oracles are the deliberately naive loop implementations in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,6 +239,17 @@ def oracle_suite(seed: int = 0) -> list:
         out.backward(g)
         worst = max(worst, _rel(t.grad, oracles.conv2d_input_grad_loops(x, k, g, stride, pad)))
     results.append(CheckResult("oracle/conv2d_input_grad_vs_loops", worst, 1e-6))
+
+    # offset inputs, so a normalisation that skips the mean shows
+    worst = 0.0
+    for shape in [(4, 3, 3, 5), (16, 5)]:
+        x = rng.standard_normal(shape) * 2 + 1
+        gamma = rng.uniform(0.5, 1.5, 5)
+        beta = rng.standard_normal(5)
+        out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), np.zeros(5), np.ones(5),
+                         mode="train", update_stats=False)
+        worst = max(worst, _rel(out.data, oracles.batch_norm_loops(x, gamma, beta)))
+    results.append(CheckResult("oracle/batch_norm_vs_loops", worst, 1e-12))
     return results
 
 
@@ -265,10 +277,16 @@ def invariant_suite(seed: int = 0) -> list:
     for count in (1, 2, 3, 4):
         n, c = 12, 4
         y = rng.integers(0, c, n)
-        logits = [Tensor(rng.standard_normal((n, c)) * 2) for _ in range(count)]
-        _, aggregate, per_head = attach_msn_loss(logits, y, [XiState() for _ in logits])
-        mean_total = float(np.mean([bd.total for bd in per_head]))
-        worst = max(worst, abs(aggregate.total - mean_total))
+        logits = [Tensor(rng.standard_normal((n, c)) * 2, requires_grad=True)
+                  for _ in range(count)]
+        xi = XiState().xi
+        loss, aggregate, per_head = attach_msn_loss(logits, y, [XiState() for _ in logits])
+        worst = max(worst, abs(aggregate.total - math.fsum(bd.total for bd in per_head) / count))
+        # each head's logits get msl_total's gradient for that head alone, / count
+        loss.backward()
+        for t in logits:
+            _, grad = msl_total(LogitBatch(q=t.data, y=y), xi=xi)
+            worst = max(worst, _rel(t.grad, grad / count))
     results.append(CheckResult("invariant/head_averaging", worst, 1e-12))
 
     q = rng.standard_normal((10, 4)) * 2

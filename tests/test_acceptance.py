@@ -6,6 +6,7 @@ synthetic data. Expected wall time for the full module is a few minutes,
 dominated by the five-seed A/B training runs of criterion 7.
 """
 
+import math
 import os
 import time
 from pathlib import Path
@@ -154,7 +155,7 @@ def test_criterion_05_head_averaging():
                   for _ in range(count)]
         xi_states = [XiState(initial_xi=0.1 * (i + 1)) for i in range(count)]
         loss, aggregate, per_head = attach_msn_loss(logits, y, xi_states)
-        mean_total = float(np.mean([bd.total for bd in per_head]))
+        mean_total = math.fsum(bd.total for bd in per_head) / count
         worst = max(worst, abs(aggregate.total - mean_total))
         loss.backward()
         for t, xi_state in zip(logits, xi_states):

@@ -615,10 +615,10 @@ class TestCliVerify:
         assert run_cli(["verify", "--suite", "oracle"]) == 0
         out = capsys.readouterr().out
         assert "oracle/within_class_vs_all_pairs" in out
-        # the input-gradient check comes last, so it draws no number an
-        # earlier check would have drawn
+        # checks added later come last, so they draw no number an earlier
+        # check would have drawn
         checks = [line.split()[0] for line in out.splitlines() if line.startswith("oracle/")]
-        assert checks[-1] == "oracle/conv2d_input_grad_vs_loops"
+        assert checks[-2:] == ["oracle/conv2d_input_grad_vs_loops", "oracle/batch_norm_vs_loops"]
         assert "FAIL" not in out
 
     def test_invariants_suite_passes(self, capsys):

@@ -1,6 +1,7 @@
 """Builders, head attachment, loss averaging, and end-to-end gradient flow."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -184,7 +185,7 @@ class TestMsnLoss:
     def test_aggregate_is_arithmetic_mean(self, rng, count):
         y, logits = self.make_heads(rng, count)
         loss, aggregate, per_head = attach_msn_loss(logits, y, [XiState() for _ in logits])
-        mean_total = np.mean([bd.total for bd in per_head])
+        mean_total = math.fsum(bd.total for bd in per_head) / count
         assert abs(aggregate.total - mean_total) <= 1e-12
         loss.backward()
         assert sum(t.grad is not None for t in logits) == count

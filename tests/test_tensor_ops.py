@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msn import oracles
+from msn import network, oracles
+from msn.config import RunConfig
+from msn.network import build_network, forward_heads
 from msn.tensor import (
     ShapeMismatchError,
     Tensor,
@@ -19,9 +21,12 @@ from msn.tensor import (
     global_average_pool,
     linear,
     max_pool2,
+    no_grad,
     relu,
     residual_add,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def t64(arr):
@@ -346,6 +351,125 @@ class TestBatchNorm:
         out = batch_norm(x, t64(np.ones(5)), t64(np.zeros(5)), rm, rv, mode="train")
         assert np.abs(out.data.mean(axis=0)).max() <= 1e-6
         assert np.abs(out.data.var(axis=0) - 1.0).max() <= 1e-4
+
+    @pytest.mark.parametrize("shape", [(8, 4, 4, 3), (5, 7, 7, 5), (6, 1, 1, 2), (32, 5)])
+    def test_matches_loop_oracle(self, rng, shape):
+        x = rng.standard_normal(shape) * 2 + 1
+        c = shape[-1]
+        gamma, beta = rng.uniform(0.5, 1.5, c), rng.standard_normal(c)
+        out = batch_norm(t64(x), t64(gamma), t64(beta), np.zeros(c), np.ones(c), mode="train")
+        assert rel_err(out.data, oracles.batch_norm_loops(x, gamma, beta)) <= 1e-12
+
+
+def reduced_shapes(monkeypatch, config, batch):
+    """(op, shape) of every leading-axis reduction the layer ops make in a
+    forward pass of a shipped config's network at ``batch``: each conv2d
+    output (its gradient is what the bias gradient sums) and each batch_norm
+    and global_average_pool input."""
+    spec = RunConfig.from_file(CONFIGS / f"{config}.json").network
+    shapes = set()
+
+    def record(name, of_output):
+        op = getattr(network, name)
+
+        def wrapped(*args, **kwargs):
+            out = op(*args, **kwargs)
+            shapes.add((name, (out if of_output else args[0]).shape))
+            return out
+
+        monkeypatch.setattr(network, name, wrapped)
+
+    record("conv2d", True)
+    record("batch_norm", False)
+    record("global_average_pool", False)
+    with no_grad():
+        forward_heads(build_network(spec, seed=0),
+                      np.zeros((batch, *spec.input_shape), np.float32))
+    return sorted(shapes)
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+def reduction_mismatches(rng, op, shape, dtype):
+    """The quantities of ``op`` at input (for conv2d: output) ``shape`` whose
+    bits differ from the .sum/.mean/.var formulation the op used before."""
+    x = (rng.standard_normal(shape) * 2 + 1).astype(dtype)
+    c = shape[-1]
+    if op == "conv2d":
+        # a 1x1 conv from one channel, so x is the output gradient whose sum
+        # over (n, h, w) is the bias gradient
+        bias = Tensor(np.zeros(c, dtype), requires_grad=True)
+        out = conv2d(Tensor(np.zeros((*shape[:3], 1), dtype)),
+                     Tensor(np.zeros((1, 1, 1, c), dtype)), bias)
+        out.backward(x)
+        pairs = {"bias grad": (bias.grad, x.reshape(-1, c).sum(axis=0))}
+    elif op == "global_average_pool":
+        pairs = {"output": (global_average_pool(Tensor(x)).data, x.mean(axis=(1, 2)))}
+    else:
+        axes = tuple(range(x.ndim - 1))
+        gamma = rng.uniform(0.5, 1.5, c).astype(dtype)
+        beta = rng.standard_normal(c).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        mu, var = x.mean(axis=axes), x.var(axis=axes)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (x - mu) * inv_std
+        # momentum 0 writes the batch mean and variance to the buffers as is
+        rm, rv = np.zeros(c, dtype), np.ones(c, dtype)
+        tx, tg, tb = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        out = batch_norm(tx, tg, tb, rm, rv, momentum=0.0)
+        out_data = out.data
+        out.backward(g)
+        pairs = {
+            "mean": (rm, mu),
+            "variance": (rv, var),
+            "output": (out_data, gamma * xhat + beta),
+            "beta grad": (tb.grad, g.sum(axis=axes)),
+            "gamma grad": (tg.grad, (g * xhat).sum(axis=axes)),
+            "input grad": (tx.grad, gamma * inv_std * (
+                g - g.mean(axis=axes) - xhat * (g * xhat).mean(axis=axes))),
+        }
+    return [name for name, (got, want) in pairs.items() if not same_bits(got, want)]
+
+
+class TestEinsumReductionBits:
+    """conv2d's bias gradient, batch_norm and global_average_pool reduce over
+    leading NHWC axes with np.einsum, several times faster there than
+    add.reduce. Their bits equal .sum/.mean/.var's on this numpy build: an
+    observed property, not a documented one, so unlike tests/test_golden.py
+    these fail rather than skip on a build where it no longer holds."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("config,batch", [
+        ("blobs_small", 64), ("cifar_subset", 64),
+        ("cifar_subset", 256),  # the eval-cifar batch
+    ])
+    def test_shipped_network_shapes(self, monkeypatch, rng, config, batch, dtype):
+        shapes = reduced_shapes(monkeypatch, config, batch)
+        assert {op for op, _ in shapes} >= {"conv2d", "global_average_pool"}
+        failures = [f"{op} at {shape} in {np.dtype(dtype).name}: {', '.join(names)}"
+                    for op, shape in shapes
+                    if (names := reduction_mismatches(rng, op, shape, dtype))]
+        assert not failures, "bits differ from add.reduce: " + "; ".join(failures)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op,shape", [
+        ("conv2d", (64, 7, 7, 5)), ("batch_norm", (64, 7, 7, 5)),
+        ("global_average_pool", (64, 7, 7, 5)), ("batch_norm", (64, 5)),
+    ])
+    def test_odd_shapes(self, rng, op, shape, dtype):
+        assert reduction_mismatches(rng, op, shape, dtype) == []
+
+    def test_float32_stays_float32(self, rng):
+        # the divisors are Python ints: a float32 array divided by a numpy
+        # integer would come out float64
+        x, ones, zeros = (a.astype(np.float32) for a in (
+            rng.standard_normal((4, 3, 3, 2)), np.ones(2), np.zeros(2)))
+        bn = batch_norm(Tensor(x), Tensor(ones), Tensor(zeros), zeros.copy(), ones.copy())
+        gap = global_average_pool(bn)
+        assert bn.data.dtype == gap.data.dtype == np.float32
 
 
 class TestResidualAdd:
