@@ -15,6 +15,26 @@ from msn.data import synthetic_blobs
 from msn.trainer import TrainConfig, batch_indices_for_iteration
 
 
+def active_fractions(classes, per_class, sizes, batches, seed):
+    """For each batch size, the fraction of ``batches`` full shuffled batches
+    over ``classes`` x ``per_class`` blobs that hold a class at least twice."""
+    ds = synthetic_blobs(classes, per_class, rng=np.random.default_rng(seed))
+    fractions = []
+    for size in sizes:
+        config = TrainConfig(iterations=0, batch_size=size, seed=seed)
+        active = drawn = iteration = 0
+        while drawn < batches:
+            batch = batch_indices_for_iteration(ds, config, iteration)
+            iteration += 1
+            if len(batch) < size:
+                continue  # ragged epoch tail keeps sizes comparable
+            counts = np.unique(ds.labels[batch], return_counts=True)[1]
+            active += int(counts.max() >= 2)
+            drawn += 1
+        fractions.append(active / batches)
+    return fractions
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--classes", type=int, default=16)
@@ -25,21 +45,11 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    ds = synthetic_blobs(args.classes, args.per_class,
-                         rng=np.random.default_rng(args.seed))
+    fractions = active_fractions(args.classes, args.per_class, args.sizes,
+                                 args.batches, args.seed)
     print(f"{'batch_size':>10} {'active_fraction':>15}")
-    for size in args.sizes:
-        config = TrainConfig(iterations=0, batch_size=size, seed=args.seed)
-        active = drawn = iteration = 0
-        while drawn < args.batches:
-            batch = batch_indices_for_iteration(ds, config, iteration)
-            iteration += 1
-            if len(batch) < size:
-                continue  # ragged epoch tail keeps sizes comparable
-            counts = np.unique(ds.labels[batch], return_counts=True)[1]
-            active += int(counts.max() >= 2)
-            drawn += 1
-        print(f"{size:>10} {active / args.batches:>15.3f}")
+    for size, fraction in zip(args.sizes, fractions):
+        print(f"{size:>10} {fraction:>15.3f}")
 
 
 if __name__ == "__main__":

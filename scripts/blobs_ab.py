@@ -21,11 +21,11 @@ from msn.trainer import evaluate, train
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "blobs_small.json"
 
 
-def run_once(base, seed, mode):
-    """Train ``base`` (a RunConfig) at ``seed`` in loss ``mode`` and summarize."""
-    config = base.with_overrides(seed=seed, loss=mode)
+def run_once(config_path, seed, mode):
+    """Train the config at ``config_path`` at ``seed`` in loss ``mode`` and summarize."""
+    config = RunConfig.from_file(config_path, seed=seed, loss=mode)
     train_ds, test_ds = load_datasets(config)
-    result = train(config.to_train_config(), config.network, train_ds)
+    result = train(config.train, config.network, train_ds)
     rows = result.rows
     late = np.polyfit(np.arange(200), [r.loss_total for r in rows[-200:]], 1)[0]
     return dict(
@@ -41,12 +41,11 @@ def main():
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
     args = parser.parse_args()
 
-    base = RunConfig.from_file(CONFIG)
     print(f"{'seed':>4} {'mode':>4} {'train_err':>9} {'test_err':>8} "
           f"{'in_class_dist':>13} {'late_slope':>12}")
     for seed in args.seeds:
         for mode in ("msl", "ce"):
-            r = run_once(base, seed, mode)
+            r = run_once(CONFIG, seed, mode)
             print(f"{seed:>4} {mode:>4} {r['train_error']:>9.4f} "
                   f"{r['test_error']:>8.4f} {r['distance']:>13.4f} "
                   f"{r['late_slope']:>+12.2e}")

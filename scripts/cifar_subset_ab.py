@@ -24,15 +24,15 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    base = RunConfig.from_file(CONFIG).with_overrides(seed=args.seed)
+    base = RunConfig.from_file(CONFIG, seed=args.seed)
     try:
         train_ds, test_ds = load_datasets(base)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for mode in ("msl", "ce"):
-        config = base.with_overrides(loss=mode)
-        result = train(config.to_train_config(), config.network, train_ds)
+        config = RunConfig.from_file(CONFIG, seed=args.seed, loss=mode)
+        result = train(config.train, config.network, train_ds)
         test_error = evaluate(result.state, test_ds)
         within = [r.loss_within for r in result.rows]
         print(f"{mode}: test_error={test_error:.4f} "

@@ -26,22 +26,6 @@ class CheckpointError(RuntimeError):
     """Malformed checkpoint file."""
 
 
-class BadMagicError(CheckpointError):
-    pass
-
-
-class VersionMismatchError(CheckpointError):
-    pass
-
-
-class TruncatedError(CheckpointError):
-    pass
-
-
-class DuplicateTensorError(CheckpointError):
-    pass
-
-
 def write_tensors(path, tensors: dict) -> None:
     """Serialize name -> float array, sorted by name for byte stability.
 
@@ -92,7 +76,7 @@ def write_tensors(path, tensors: dict) -> None:
 def _read_exact(fh, count: int, what: str) -> bytes:
     raw = fh.read(count)
     if len(raw) != count:
-        raise TruncatedError(f"checkpoint truncated while reading {what}")
+        raise CheckpointError(f"checkpoint truncated while reading {what}")
     return raw
 
 
@@ -106,10 +90,10 @@ def read_tensors(path) -> dict:
         size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, 4, "magic")
         if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+            raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
         (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
         if version != VERSION:
-            raise VersionMismatchError(f"format version {version}, expected {VERSION}")
+            raise CheckpointError(f"format version {version}, expected {VERSION}")
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
@@ -118,7 +102,7 @@ def read_tensors(path) -> dict:
             except UnicodeDecodeError as exc:
                 raise CheckpointError(f"tensor name is not UTF-8: {exc}") from exc
             if name in tensors:
-                raise DuplicateTensorError(f"duplicate tensor name {name!r}")
+                raise CheckpointError(f"duplicate tensor name {name!r}")
             code, rank = struct.unpack("<BB", _read_exact(fh, 2, "dtype/rank"))
             if code not in _CODE_DTYPES:
                 raise CheckpointError(f"{name!r}: unknown dtype code {code}")
@@ -129,7 +113,7 @@ def read_tensors(path) -> dict:
             dtype = _CODE_DTYPES[code]
             nbytes = math.prod(extents) * dtype.itemsize
             if nbytes > size - fh.tell():
-                raise TruncatedError(
+                raise CheckpointError(
                     f"{name!r}: extents {extents} need {nbytes} bytes, "
                     f"{size - fh.tell()} left in the file")
             raw = _read_exact(fh, nbytes, f"values of {name!r}")

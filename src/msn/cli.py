@@ -73,20 +73,18 @@ def _new_run_dir() -> Path:
 
 
 def cmd_train(args) -> int:
-    config = RunConfig.from_file(args.config).with_overrides(
-        seed=args.seed, out_dir=args.out, loss=args.loss)
-    train_config = config.to_train_config()
+    config = RunConfig.from_file(args.config, seed=args.seed, out_dir=args.out, loss=args.loss)
     train_ds, test_ds = load_datasets(config)
 
     out_dir = Path(config.out_dir) if config.out_dir else _new_run_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.resolved.json").write_text(config.resolved_json())
 
-    result = train(train_config, config.network, train_ds,
+    result = train(config.train, config.network, train_ds,
                    eval_dataset=test_ds, csv_path=out_dir / "metrics.csv")
     save_checkpoint(result.state, result.opt_state,
                     [h.xi_state for h in result.state.heads],
-                    out_dir / "final.ckpt", iteration=train_config.iterations)
+                    out_dir / "final.ckpt", iteration=config.train.iterations)
     final_error = evaluate(result.state, test_ds)
     print(f"run_dir={out_dir}")
     print(f"test_error={final_error:.6f}")
@@ -166,7 +164,3 @@ def main(argv=None) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return code
         raise
-
-
-if __name__ == "__main__":
-    sys.exit(main())

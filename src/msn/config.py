@@ -3,7 +3,7 @@
 A run config has four top-level sections: ``network``, ``data``, ``train``,
 and ``out_dir``. Each section is read into its dataclass, whose fields give
 the allowed keys, the required ones, the defaults and the JSON value types.
-Flags (seed, out dir, loss mode) override file values at the CLI.
+The CLI's flags (seed, out dir, loss) replace file values as the file is read.
 """
 
 from __future__ import annotations
@@ -130,26 +130,27 @@ def _read(cls, section: str, given):
     return _build(section, cls, **_fields(cls, section, given, {n: n for n in _schema(cls)}))
 
 
-# The train section is TrainConfig in another shape: "loss" sits beside the
-# fields, the xi_* fields sit in a nested "xi" block under these keys, and
-# flip_augment is data.flip. Reading and writing both use these two maps.
+# The train section is TrainConfig in another shape: the xi_* fields sit in a
+# nested "xi" block under these keys, and flip_augment is data.flip. Reading
+# and writing both use these two maps.
 _XI_KEYS = {"initial": "xi_initial", "decay": "xi_decay", "window": "xi_window",
             "plateau_tol": "xi_plateau_tol", "floor": "xi_floor"}
 _TRAIN_FIELDS = {n: n for n in _schema(TrainConfig)
                  if n not in _XI_KEYS.values() and n != "flip_augment"}
-_LOSSES = ("msl", "ce")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     network: NetworkSpec
     data: DataConfig
-    train: TrainConfig  # within_weight as written; to_train_config applies the loss
-    loss_mode: str
+    train: TrainConfig
     out_dir: str | None = None
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
+    def from_dict(cls, d: dict, seed=None, out_dir=None, loss=None) -> "RunConfig":
+        """The run ``d`` describes. ``seed``, ``out_dir`` and ``loss``, where
+        given (the CLI's overrides), replace the file's values before the
+        sections are built, so they are checked as file values are."""
         top = _fields(cls, "config", d, {"out_dir": "out_dir"}, also=("network", "data", "train"))
         if "network" not in d or "train" not in d:
             raise ConfigError("config needs 'network' and 'train' sections")
@@ -157,18 +158,17 @@ class RunConfig:
         if type(network) is dict and type(network.get("attachment")) is str:
             mask = _build("network.attachment", NetworkSpec.attachment_for, network["attachment"])
             network = {**network, "attachment": list(mask)}
-        values = _fields(TrainConfig, "train", train, _TRAIN_FIELDS, also=("loss", "xi"))
+        values = _fields(TrainConfig, "train", train, _TRAIN_FIELDS, also=("xi",))
         values.update(_fields(TrainConfig, "train.xi", train.get("xi", {}), _XI_KEYS))
-        loss = train.get("loss", "msl")
-        if loss not in _LOSSES:
-            raise ConfigError(f"train.loss: expected 'msl' or 'ce', got {loss!r}")
+        values.update({k: v for k, v in (("seed", seed), ("loss", loss)) if v is not None})
+        if out_dir is not None:
+            top["out_dir"] = out_dir
         data = _read(DataConfig, "data", d.get("data", {}))
         return cls(network=_read(NetworkSpec, "network", network), data=data,
-                   train=_build("train", TrainConfig, **values, flip_augment=data.flip),
-                   loss_mode=loss, **top)
+                   train=_build("train", TrainConfig, **values, flip_augment=data.flip), **top)
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
+    def from_file(cls, path, seed=None, out_dir=None, loss=None) -> "RunConfig":
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
@@ -176,27 +176,12 @@ class RunConfig:
             raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(raw)
-
-    def with_overrides(self, seed=None, out_dir=None, loss=None) -> "RunConfig":
-        if loss not in (None, *_LOSSES):
-            raise ConfigError(f"loss override must be 'msl' or 'ce', got {loss!r}")
-        train = self.train
-        if seed is not None:
-            train = _build("train", dataclasses.replace, train, seed=int(seed))
-        return dataclasses.replace(self, train=train, loss_mode=loss or self.loss_mode,
-                                   out_dir=self.out_dir if out_dir is None else out_dir)
-
-    def to_train_config(self) -> TrainConfig:
-        """The TrainConfig a run uses: loss "ce" zeroes within_weight."""
-        if self.loss_mode == "ce":
-            return dataclasses.replace(self.train, within_weight=0.0)
-        return self.train
+        return cls.from_dict(raw, seed=seed, out_dir=out_dir, loss=loss)
 
     def resolved_dict(self) -> dict:
-        train = vars(self.to_train_config())
+        train = vars(self.train)
         return {"network": asdict(self.network), "data": asdict(self.data),
-                "train": {**{k: train[n] for k, n in _TRAIN_FIELDS.items()}, "loss": self.loss_mode,
+                "train": {**{k: train[n] for k, n in _TRAIN_FIELDS.items()},
                           "xi": {k: train[n] for k, n in _XI_KEYS.items()}},
                 "out_dir": self.out_dir}
 

@@ -48,10 +48,6 @@ class LogitBatch:
     def n(self) -> int:
         return self.q.shape[0]
 
-    @property
-    def num_classes(self) -> int:
-        return self.q.shape[1]
-
 
 def pair_count(mu: int) -> int:
     """Number of unordered same-class pairs: mu choose 2, and 0 for mu < 2."""
@@ -90,7 +86,7 @@ class XiState:
         self.xi = self.initial_xi
         self.history = deque(maxlen=2 * self.window)
 
-    def update(self, within_loss: float) -> "XiState":
+    def update(self, within_loss: float) -> None:
         self.history.append(float(within_loss))
         if len(self.history) == 2 * self.window:
             values = list(self.history)
@@ -99,7 +95,6 @@ class XiState:
             if abs(recent - prev) / max(prev, 1e-12) < self.plateau_tol:
                 self.xi = max(self.floor, self.xi * self.decay)
                 self.history.clear()
-        return self
 
 
 @dataclass(frozen=True)

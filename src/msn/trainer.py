@@ -43,6 +43,7 @@ class TrainConfig:
     eval_interval: int = 100
     batching: str = "shuffled"
     seed: int = 0
+    loss: str = "msl"  # "ce" is the cross-entropy baseline: within_weight 0
     within_weight: float = 1.0
     distance_mode: str = "euclidean"
     xi_initial: float = 0.5
@@ -71,6 +72,10 @@ class TrainConfig:
             raise ValueError("seed must be non-negative")
         if self.within_weight < 0:
             raise ValueError("within_weight must be non-negative")
+        if self.loss not in ("msl", "ce"):
+            raise ValueError(f"loss must be 'msl' or 'ce', got {self.loss!r}")
+        if self.loss == "ce":
+            self.within_weight = 0.0
         if self.distance_mode not in DISTANCE_MODES:
             raise ValueError(f"distance_mode must be one of {DISTANCE_MODES}, "
                              f"got {self.distance_mode!r}")

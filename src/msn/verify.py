@@ -33,7 +33,7 @@ from .tensor import (
     residual_add,
     weighted_sum,
 )
-from .trainer import TrainConfig, lr_schedule
+from .trainer import OptimizerState, TrainConfig, lr_schedule, sgd_momentum_step
 
 SUITES = ("gradcheck", "oracle", "invariants", "all")
 
@@ -331,14 +331,15 @@ def invariant_suite(seed: int = 0) -> list:
 
     momentum, lr = 0.9, 0.01
     grads = rng.standard_normal(8)
-    v = w = 0.0
+    w = Tensor(np.zeros(1))
+    opt_state = OptimizerState.zeros_like({"w": w})
     for g in grads:
-        v = momentum * v - lr * g
-        w += v
+        w.grad = np.array([g])
+        sgd_momentum_step({"w": w}, opt_state, lr, momentum)
     w_closed = -lr * sum(g * (1 - momentum ** (len(grads) - i)) / (1 - momentum)
                          for i, g in enumerate(grads))
     results.append(CheckResult("invariant/momentum_unrolled_recurrence",
-                               abs(w - w_closed), 1e-12))
+                               abs(w.data[0] - w_closed), 1e-12))
 
     worst = 0.0
     for _ in range(50):

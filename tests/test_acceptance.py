@@ -8,6 +8,7 @@ dominated by the five-seed A/B training runs of criterion 7.
 
 import math
 import os
+import runpy
 import time
 from pathlib import Path
 
@@ -36,7 +37,6 @@ from msn.network import NetworkSpec, attach_msn_loss
 from msn.tensor import Tensor
 from msn.trainer import (
     TrainConfig,
-    batch_indices_for_iteration,
     evaluate,
     save_checkpoint,
     train,
@@ -44,7 +44,8 @@ from msn.trainer import (
 from msn.verify import run_suites
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def report(number, detail):
@@ -170,25 +171,9 @@ def test_criterion_05_head_averaging():
 # ---------------------------------------------------------------------------
 
 def test_criterion_06_batch_size_sensitivity():
-    classes = 16
-    ds = synthetic_blobs(classes, 100, rng=np.random.default_rng(6))
+    sweep = runpy.run_path(str(ROOT / "scripts" / "batch_size_sweep.py"))
     sizes = [2, 3, 4, 6, 8, 12]
-    fractions = []
-    for size in sizes:
-        config = TrainConfig(iterations=0, batch_size=size, seed=6)
-        active = 0
-        drawn = 0
-        iteration = 0
-        while drawn < 1000:
-            batch = batch_indices_for_iteration(ds, config, iteration)
-            iteration += 1
-            if len(batch) < size:
-                continue  # ragged epoch tail keeps sizes comparable
-            labels = ds.labels[batch]
-            if np.unique(labels, return_counts=True)[1].max() >= 2:
-                active += 1
-            drawn += 1
-        fractions.append(active / 1000)
+    fractions = sweep["active_fractions"](16, 100, sizes, 1000, 6)
     assert all(a < b for a, b in zip(fractions, fractions[1:])), fractions
     report(6, "active-within fraction over batch sizes "
               + ", ".join(f"{s}:{f:.2f}" for s, f in zip(sizes, fractions)))
@@ -198,11 +183,11 @@ def test_criterion_06_batch_size_sensitivity():
 # 7. desk-scale training A/B
 # ---------------------------------------------------------------------------
 
-def _shipped_run(name, seed, loss_mode):
-    """Train configs/<name> at ``seed`` in ``loss_mode``: (result, train, test)."""
-    config = RunConfig.from_file(CONFIGS / name).with_overrides(seed=seed, loss=loss_mode)
+def _shipped_run(name, seed, loss):
+    """Train configs/<name> at ``seed`` with ``loss``: (result, train, test)."""
+    config = RunConfig.from_file(CONFIGS / name, seed=seed, loss=loss)
     train_ds, test_ds = load_datasets(config)
-    return train(config.to_train_config(), config.network, train_ds), train_ds, test_ds
+    return train(config.train, config.network, train_ds), train_ds, test_ds
 
 
 def _slope(values):
@@ -263,7 +248,7 @@ def test_criterion_07_desk_scale_ab():
 # ---------------------------------------------------------------------------
 
 @needs_cifar
-def test_criterion_08_cifar_subset_both_loss_modes():
+def test_criterion_08_cifar_subset_msl_and_ce():
     start = time.time()
     outcomes = {}
     for mode in ("msl", "ce"):

@@ -44,7 +44,7 @@ def test_bad_magic(tmp_path, rng):
     raw = bytearray(path.read_bytes())
     raw[0:4] = b"NOPE"
     path.write_bytes(bytes(raw))
-    with pytest.raises(C.BadMagicError):
+    with pytest.raises(C.CheckpointError, match="bad magic"):
         C.read_tensors(path)
 
 
@@ -54,7 +54,7 @@ def test_version_mismatch(tmp_path, rng):
     raw = bytearray(path.read_bytes())
     raw[4:6] = struct.pack("<H", C.VERSION + 9)
     path.write_bytes(bytes(raw))
-    with pytest.raises(C.VersionMismatchError):
+    with pytest.raises(C.CheckpointError, match="format version"):
         C.read_tensors(path)
 
 
@@ -63,7 +63,7 @@ def test_truncation(tmp_path, rng):
     C.write_tensors(path, sample_tensors(rng))
     raw = path.read_bytes()
     path.write_bytes(raw[:-7])
-    with pytest.raises(C.TruncatedError):
+    with pytest.raises(C.CheckpointError, match="left in the file"):
         C.read_tensors(path)
 
 
@@ -89,7 +89,7 @@ def test_duplicate_tensor_name(tmp_path):
     raw += encode_tensor("x", arr) + encode_tensor("x", arr)
     path = tmp_path / "dup.ckpt"
     path.write_bytes(raw)
-    with pytest.raises(C.DuplicateTensorError):
+    with pytest.raises(C.CheckpointError, match="duplicate tensor name"):
         C.read_tensors(path)
 
 
@@ -193,5 +193,5 @@ def test_extents_beyond_the_file_are_truncation(tmp_path, extents):
     raw += struct.pack("<" + "I" * len(extents), *extents) + bytes(64)
     path = tmp_path / "big.ckpt"
     path.write_bytes(raw)
-    with pytest.raises(C.TruncatedError, match="left in the file"):
+    with pytest.raises(C.CheckpointError, match="left in the file"):
         C.read_tensors(path)

@@ -3,6 +3,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from msn.cli import main
 from msn.config import ConfigError, RunConfig, load_datasets
 from msn.network import build_network
-from msn.trainer import OptimizerState, save_checkpoint
+from msn.trainer import OptimizerState, TrainConfig, save_checkpoint, train
 
 from test_data import write_tiny_archive
 
@@ -45,7 +48,8 @@ def write_config(tmp_path, cfg, name="run.json"):
     return path
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def shipped_config(name):
@@ -245,7 +249,7 @@ class TestConfigSchema:
     def test_minimal_parses(self):
         cfg = RunConfig.from_dict(minimal_config())
         assert cfg.network.family == "vgg"
-        assert cfg.to_train_config().iterations == 8
+        assert cfg.train.iterations == 8
 
     @pytest.mark.parametrize("mutate,needle", [
         (lambda d: d.update(extra=1), "extra"),
@@ -279,21 +283,33 @@ class TestConfigSchema:
         cfg = RunConfig.from_dict(raw)
         assert cfg.network.attachment == (1, 2, 3, 4)
 
-    def test_loss_modes(self):
+    def test_ce_train_config_has_zero_within_weight(self):
+        # RunConfig.train is the TrainConfig the run trains with
         raw = minimal_config(loss="ce")
         cfg = RunConfig.from_dict(raw)
-        assert cfg.to_train_config().within_weight == 0.0
-        assert RunConfig.from_dict(minimal_config()).to_train_config().within_weight == 1.0
+        assert cfg.train.within_weight == 0.0
+        assert RunConfig.from_dict(minimal_config()).train.within_weight == 1.0
         raw = minimal_config(loss="hinge")
         with pytest.raises(ConfigError):
             RunConfig.from_dict(raw)
 
+    def test_unknown_loss_rejected_by_name(self):
+        with pytest.raises(ValueError, match="loss"):
+            TrainConfig(iterations=1, loss="hinge")
+        with pytest.raises(ConfigError, match="loss"):
+            RunConfig.from_dict(minimal_config(), loss="hinge")
+
     def test_overrides(self):
-        cfg = RunConfig.from_dict(minimal_config())
-        out = cfg.with_overrides(seed=5, loss="ce", out_dir="x")
-        assert out.to_train_config().seed == 5
-        assert out.to_train_config().within_weight == 0.0
+        out = RunConfig.from_dict(minimal_config(), seed=5, loss="ce", out_dir="x")
+        assert out.train.seed == 5
+        assert out.train.within_weight == 0.0
         assert out.out_dir == "x"
+
+    def test_msl_override_keeps_the_files_within_weight(self):
+        cfg = RunConfig.from_dict(minimal_config(loss="ce", within_weight=0.5), loss="msl")
+        assert cfg.train.loss == "msl" and cfg.train.within_weight == 0.5
+        resolved = cfg.resolved_dict()["train"]
+        assert resolved["loss"] == "msl" and resolved["within_weight"] == 0.5
 
     def test_resolved_json_reparses_to_same(self):
         cfg = RunConfig.from_dict(minimal_config())
@@ -334,9 +350,9 @@ class TestLoadDatasets:
             assert (train.labels == c).sum() == 30
             assert (test.labels == c).sum() == 10
 
-    def test_same_seed_shares_dataset_across_loss_modes(self):
+    def test_same_seed_shares_dataset_across_losses(self):
         msl_cfg = RunConfig.from_dict(minimal_config())
-        ce_cfg = msl_cfg.with_overrides(loss="ce")
+        ce_cfg = RunConfig.from_dict(minimal_config(), loss="ce")
         a, _ = load_datasets(msl_cfg)
         b, _ = load_datasets(ce_cfg)
         np.testing.assert_array_equal(a.images, b.images)
@@ -344,7 +360,7 @@ class TestLoadDatasets:
     def test_different_seeds_differ(self):
         base = RunConfig.from_dict(minimal_config())
         a, _ = load_datasets(base)
-        b, _ = load_datasets(base.with_overrides(seed=9))
+        b, _ = load_datasets(RunConfig.from_dict(minimal_config(), seed=9))
         assert not np.array_equal(a.images, b.images)
 
     def test_gcn_zca_chain_applies(self):
@@ -470,6 +486,31 @@ class TestCliTrainEval:
         resolved = json.loads((out / "config.resolved.json").read_text())
         assert resolved["train"]["loss"] == "ce"
         assert resolved["train"]["within_weight"] == 0.0
+
+    def test_msl_flag_trains_with_the_files_within_weight(self, tmp_path, monkeypatch):
+        config_path = write_config(tmp_path, minimal_config(loss="ce", within_weight=0.5))
+        weights = []
+
+        def recording_train(config, *args, **kwargs):
+            weights.append(config.within_weight)
+            return train(config, *args, **kwargs)
+
+        monkeypatch.setattr("msn.cli.train", recording_train)
+        out = tmp_path / "msl"
+        assert run_cli(["train", "--config", str(config_path), "--out", str(out),
+                        "--loss", "msl"]) == 0
+        assert weights == [0.5]
+        resolved = json.loads((out / "config.resolved.json").read_text())
+        assert resolved["train"]["loss"] == "msl"
+        assert resolved["train"]["within_weight"] == 0.5
+
+    def test_negative_seed_flag_exits_1_without_run_dir(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, minimal_config())
+        out = tmp_path / "out"
+        assert run_cli(["train", "--config", str(config_path), "--out", str(out),
+                        "--seed", "-1"]) == 1
+        assert not out.exists()
+        assert "seed" in capsys.readouterr().err
 
     def test_missing_config_exits_1(self, tmp_path):
         assert run_cli(["train", "--config", str(tmp_path / "none.json")]) == 1
@@ -623,6 +664,14 @@ class TestCliVerify:
 
     def test_invariants_suite_passes(self, capsys):
         assert run_cli(["verify", "--suite", "invariants"]) == 0
+
+    def test_python_dash_m_msn_runs_the_cli(self):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "msn", "verify", "--suite", "invariants"],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "8/8 checks passed"
 
     def test_unknown_suite_is_usage_error(self):
         assert run_cli(["verify", "--suite", "bogus"]) == 1

@@ -9,8 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from msn.config import RunConfig
-
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
@@ -29,7 +27,7 @@ def test_blobs_ab_runs_once_on_a_short_copy_of_its_config(tmp_path):
     raw = json.loads(blobs_ab["CONFIG"].read_text())
     raw["train"]["iterations"] = 200
     (tmp_path / "short.json").write_text(json.dumps(raw))
-    row = blobs_ab["run_once"](RunConfig.from_file(tmp_path / "short.json"), 0, "msl")
+    row = blobs_ab["run_once"](tmp_path / "short.json", 0, "msl")
     assert set(row) == {"train_error", "test_error", "distance", "late_slope"}
     assert 0.0 <= row["train_error"] <= 1.0 and 0.0 <= row["test_error"] <= 1.0
     assert row["distance"] > 0.0
