@@ -95,8 +95,7 @@ def cmd_eval(args) -> int:
     ckpt_path = Path(args.checkpoint)
     config_path = args.config or ckpt_path.parent / "config.resolved.json"
     config = RunConfig.from_file(config_path)
-    data = dataclasses.replace(config.data, dataset=args.dataset or config.data.dataset,
-                               data_dir=args.data_dir or config.data.data_dir)
+    data = dataclasses.replace(config.data, data_dir=args.data_dir or config.data.data_dir)
     config = dataclasses.replace(config, data=data)
     state, _, _ = load_checkpoint(ckpt_path, config.network,
                                   xi_factory=config.train.xi_factory)
@@ -141,8 +140,8 @@ def build_parser() -> _Parser:
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint")
     ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--dataset", choices=["cifar10", "blobs"], default=None)
-    ev.add_argument("--data-dir", default=None)
+    ev.add_argument("--data-dir", default=None,
+                    help="CIFAR-10 directory (default: the config's data.data_dir)")
     ev.add_argument("--config", default=None,
                     help="run config (default: config.resolved.json next to the checkpoint)")
     ev.set_defaults(func=cmd_eval)

@@ -11,6 +11,10 @@ pooling between blocks:
 
 Every block in the attachment mask gets a separability head (global average
 pooling + FC) on the block's output, before the pooling that follows it.
+
+The forward walk (``_trunk``) is the one description of each trunk's layout:
+``build_network`` runs it once to create the tensors in the order it asks for
+them.
 """
 
 from __future__ import annotations
@@ -166,98 +170,84 @@ def build_network(spec: NetworkSpec, seed: int,
                   xi_factory: Callable[[], XiState] = XiState) -> NetworkState:
     """Initialize all parameters for ``spec`` deterministically from ``seed``.
 
-    Conv and FC weights draw from N(0, 2/fan_in); biases start at zero, batch
-    norm at gamma=1/beta=0 with running mean 0 and variance 1.
+    One walk of the trunk, under ``no_grad`` and in infer mode on a zero image
+    of the smallest size the pooling stages accept, makes each trunk tensor
+    when the forward pass first asks for it; the heads follow in attachment
+    order. Conv and FC weights draw from N(0, 2/fan_in); biases, beta and
+    running means start at zero, gamma and running variances at one.
     """
     rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
-    buffers: dict[str, np.ndarray] = {}
 
-    def add_param(name, shape, fan_in=None):
+    def make(shape, fan_in=None, fill=0.0):
         if fan_in is None:
-            data = np.zeros(shape, dtype=dtype)
-        else:
-            std = np.sqrt(2.0 / fan_in)
-            data = (rng.standard_normal(shape) * std).astype(dtype)
-        params[name] = Tensor(data, requires_grad=True)
+            return np.full(shape, fill, dtype=dtype)
+        return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
 
-    def add_conv(name, kh, kw, cin, cout):
-        add_param(f"{name}.kernel", (kh, kw, cin, cout), fan_in=kh * kw * cin)
-        add_param(f"{name}.bias", (cout,))
-
-    def add_bn(name, c):
-        params[f"{name}.gamma"] = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
-        params[f"{name}.beta"] = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
-        buffers[f"{name}.running_mean"] = np.zeros(c, dtype=dtype)
-        buffers[f"{name}.running_var"] = np.ones(c, dtype=dtype)
-
+    state = NetworkState(spec=spec, params={}, buffers={}, heads=[], dtype=np.dtype(dtype))
+    side = 2 ** (spec.num_blocks - 1)
+    zeros = Tensor(np.zeros((1, side, side, spec.input_shape[2]), dtype))
+    with no_grad():
+        for _ in _trunk(state, zeros, "infer", False, make):
+            pass
     chans = spec.block_channels()
-    cin = spec.input_shape[2]
-    for block in range(1, spec.num_blocks + 1):
-        cout = chans[block - 1]
-        if spec.family == "vgg":
-            for j in range(1, VGG_CONVS_PER_BLOCK[block - 1] + 1):
-                add_conv(f"block{block}.conv{j}", 3, 3, cin, cout)
-                cin = cout
-        elif block == 1:
-            add_conv("block1.conv1", 3, 3, cin, cout)
-            cin = cout
-        else:
-            for u in range(1, spec.depth_k + 1):
-                unit = f"block{block}.unit{u}"
-                ucin = cin if u == 1 else cout
-                add_bn(f"{unit}.bn1", ucin)
-                add_conv(f"{unit}.conv1", 3, 3, ucin, cout)
-                add_bn(f"{unit}.bn2", cout)
-                add_conv(f"{unit}.conv2", 3, 3, cout, cout)
-                if ucin != cout:
-                    add_conv(f"{unit}.proj", 1, 1, ucin, cout)
-            cin = cout
-
-    heads = []
     for block in spec.attachment:
         d = chans[block - 1]
-        add_param(f"head{block}.fc.weight", (d, spec.num_classes), fan_in=d)
-        add_param(f"head{block}.fc.bias", (spec.num_classes,))
-        heads.append(MsmHead(attach_block=block, xi_state=xi_factory(), params=params))
-    return NetworkState(spec=spec, params=params, buffers=buffers, heads=heads,
-                        dtype=np.dtype(dtype))
+        state.params[f"head{block}.fc.weight"] = Tensor(make((d, spec.num_classes), d),
+                                                        requires_grad=True)
+        state.params[f"head{block}.fc.bias"] = Tensor(make((spec.num_classes,)),
+                                                      requires_grad=True)
+        state.heads.append(MsmHead(attach_block=block, xi_state=xi_factory(),
+                                   params=state.params))
+    return state
 
 
-def _forward_block(state: NetworkState, x: Tensor, block: int,
-                   mode: str, update_stats: bool) -> Tensor:
-    spec = state.spec
-    p = state.params
-    b = state.buffers
+def _trunk(state: NetworkState, x: Tensor, mode: str, update_stats: bool,
+           make: Callable | None = None):
+    """Yield (block, output) for each block, before the pooling that follows it.
+
+    This walk is the one description of the trunk's layout. It gets every
+    tensor by name; given ``make(shape, fan_in, fill)``, it first creates each
+    one that is missing, so the walk's order is the creation order.
+    """
+    spec, p, b = state.spec, state.params, state.buffers
+
+    def get(store, name, shape, fan_in=None, fill=0.0):
+        if make is not None and name not in store:
+            data = make(shape, fan_in, fill)
+            store[name] = data if store is b else Tensor(data, requires_grad=True)
+        return store[name]
+
+    def conv(name, t, k, cout):
+        cin = t.shape[-1]
+        return conv2d(t, get(p, f"{name}.kernel", (k, k, cin, cout), fan_in=k * k * cin),
+                      get(p, f"{name}.bias", (cout,)), stride=1, pad=k // 2)
 
     def bn(name, t):
-        return batch_norm(t, p[f"{name}.gamma"], p[f"{name}.beta"],
-                          b[f"{name}.running_mean"], b[f"{name}.running_var"],
+        c = t.shape[-1:]
+        return batch_norm(t, get(p, f"{name}.gamma", c, fill=1.0), get(p, f"{name}.beta", c),
+                          get(b, f"{name}.running_mean", c),
+                          get(b, f"{name}.running_var", c, fill=1.0),
                           mode=mode, update_stats=update_stats)
 
-    if spec.family == "vgg":
-        for j in range(1, VGG_CONVS_PER_BLOCK[block - 1] + 1):
-            x = relu(conv2d(x, p[f"block{block}.conv{j}.kernel"],
-                            p[f"block{block}.conv{j}.bias"], stride=1, pad=1))
-        return x
-    if block == 1:
-        return conv2d(x, p["block1.conv1.kernel"], p["block1.conv1.bias"],
-                      stride=1, pad=1)
-    for u in range(1, spec.depth_k + 1):
-        unit = f"block{block}.unit{u}"
-        h = relu(bn(f"{unit}.bn1", x))
-        h = conv2d(h, p[f"{unit}.conv1.kernel"], p[f"{unit}.conv1.bias"],
-                   stride=1, pad=1)
-        h = relu(bn(f"{unit}.bn2", h))
-        h = conv2d(h, p[f"{unit}.conv2.kernel"], p[f"{unit}.conv2.bias"],
-                   stride=1, pad=1)
-        if f"{unit}.proj.kernel" in p:
-            skip = conv2d(x, p[f"{unit}.proj.kernel"], p[f"{unit}.proj.bias"],
-                          stride=1, pad=0)
+    def unit(name, t, cout):
+        """Pre-activation residual unit; the skip is projected where the width changes."""
+        h = conv(f"{name}.conv1", relu(bn(f"{name}.bn1", t)), 3, cout)
+        h = conv(f"{name}.conv2", relu(bn(f"{name}.bn2", h)), 3, cout)
+        skip = conv(f"{name}.proj", t, 1, cout) if t.shape[-1] != cout else t
+        return residual_add(h, skip)
+
+    for block, cout in enumerate(spec.block_channels(), 1):
+        if spec.family == "vgg":
+            for j in range(1, VGG_CONVS_PER_BLOCK[block - 1] + 1):
+                x = relu(conv(f"block{block}.conv{j}", x, 3, cout))
+        elif block == 1:
+            x = conv("block1.conv1", x, 3, cout)
         else:
-            skip = x
-        x = residual_add(h, skip)
-    return x
+            for u in range(1, spec.depth_k + 1):
+                x = unit(f"block{block}.unit{u}", x, cout)
+        yield block, x
+        if block < spec.num_blocks:
+            x = max_pool2(x)
 
 
 def forward_heads(state: NetworkState, images, mode: str = "train",
@@ -278,15 +268,10 @@ def forward_heads(state: NetworkState, images, mode: str = "train",
             f"(N, {spec.input_shape[0]}, {spec.input_shape[1]}, {spec.input_shape[2]})")
 
     logits = []
-    x = images
-    for block in range(1, spec.num_blocks + 1):
-        x = _forward_block(state, x, block, mode, update_stats)
+    for block, x in _trunk(state, images, mode, update_stats):
         if block in spec.attachment:
-            pooled = global_average_pool(x)
-            logits.append(linear(pooled, state.params[f"head{block}.fc.weight"],
+            logits.append(linear(global_average_pool(x), state.params[f"head{block}.fc.weight"],
                                  state.params[f"head{block}.fc.bias"]))
-        if block < spec.num_blocks:
-            x = max_pool2(x)
     return logits
 
 

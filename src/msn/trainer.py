@@ -19,6 +19,7 @@ from .network import NetworkSpec, NetworkState, attach_msn_loss, build_network, 
 from .tensor import NonFiniteError, check_finite
 
 _TAG_EPOCH, _TAG_BATCH, _TAG_FLIP = 1, 2, 3
+EVAL_BATCH = 256
 
 CSV_HEADER = ("iteration,lr,xi_head1,xi_head2,xi_head3,xi_head4,"
               "loss_total,loss_between,loss_within,train_error,test_error")
@@ -46,11 +47,11 @@ class TrainConfig:
     loss: str = "msl"  # "ce" is the cross-entropy baseline: within_weight 0
     within_weight: float = 1.0
     distance_mode: str = "euclidean"
-    xi_initial: float = 0.5
-    xi_decay: float = 0.9
-    xi_window: int = 100
-    xi_plateau_tol: float = 1e-3
-    xi_floor: float = 1e-4
+    xi_initial: float = XiState.initial_xi
+    xi_decay: float = XiState.decay
+    xi_window: int = XiState.window
+    xi_plateau_tol: float = XiState.plateau_tol
+    xi_floor: float = XiState.floor
     flip_augment: bool = False
 
     def __post_init__(self):
@@ -166,12 +167,12 @@ def batch_indices_for_iteration(dataset: LabeledDataset, config: TrainConfig,
     return perm[slot * config.batch_size:(slot + 1) * config.batch_size]
 
 
-def evaluate(state: NetworkState, dataset: LabeledDataset,
-             batch_size: int = 256) -> float:
-    """Fraction of prediction mismatches over the dataset, in infer mode."""
+def evaluate(state: NetworkState, dataset: LabeledDataset) -> float:
+    """Fraction of prediction mismatches over the dataset, in infer mode, in
+    batches of EVAL_BATCH."""
     wrong = 0
-    for start in range(0, len(dataset), batch_size):
-        idx = slice(start, start + batch_size)
+    for start in range(0, len(dataset), EVAL_BATCH):
+        idx = slice(start, start + EVAL_BATCH)
         preds = predict(state, dataset.images[idx])
         wrong += int((preds != dataset.labels[idx]).sum())
     return wrong / len(dataset) if len(dataset) else 0.0

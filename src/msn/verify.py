@@ -131,16 +131,15 @@ def gradcheck_suite(seed: int = 0) -> list:
     return results
 
 
-def full_network_gradcheck(seed: int = 0, width: float = 0.25, depth_k: int = 1,
-                           batch: int = 4) -> CheckResult:
+def full_network_gradcheck(seed: int = 0) -> CheckResult:
     """Finite-difference check of the averaged loss w.r.t. every parameter of a
-    four-head residual network (all blocks attached)."""
+    four-head residual network (all blocks attached) on a batch of 4."""
     rng = np.random.default_rng(seed + 17)
-    spec = NetworkSpec(family="resnet", depth_k=depth_k, width_multiplier=width,
+    spec = NetworkSpec(family="resnet", depth_k=1, width_multiplier=0.25,
                        attachment=(1, 2, 3, 4), num_classes=2, input_shape=(8, 8, 3))
     state = build_network(spec, seed=seed, dtype=np.float64)
-    images = rng.standard_normal((batch, 8, 8, 3))
-    labels = np.array([0, 0, 1, 1])[:batch]
+    images = rng.standard_normal((4, 8, 8, 3))
+    labels = np.array([0, 0, 1, 1])
     xi_states = [XiState(initial_xi=0.05) for _ in state.heads]
     names = sorted(state.params)
     arrays = [state.params[n].data.copy() for n in names]

@@ -612,8 +612,9 @@ class TestCliTrainEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: training diverged at iteration 1:")
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_malformed_cifar_batch_exits_2_without_run_dir(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["train", "eval", "eval --data-dir"])
+    def test_malformed_cifar_batch_exits_2_without_run_dir(self, tmp_path, capsys, monkeypatch,
+                                                           command):
         from msn import data as D
 
         data_dir = tmp_path / "data"
@@ -624,7 +625,11 @@ class TestCliTrainEval:
         with open(data_dir / D.CIFAR10_TRAIN_FILES[0], "r+b") as fh:
             fh.write(b"\xff")  # label byte of the first record
         raw = shipped_config("cifar_subset.json")
-        raw["data"]["data_dir"] = str(data_dir)
+        if command == "eval --data-dir":
+            # only the flag names the malformed data: not the config, not the environment
+            monkeypatch.setenv("MSN_DATA_DIR", str(tmp_path / "elsewhere"))
+        else:
+            raw["data"]["data_dir"] = str(data_dir)
         config_path = str(write_config(tmp_path, raw))
         out = tmp_path / "run"
         if command == "train":
@@ -636,6 +641,8 @@ class TestCliTrainEval:
             save_checkpoint(net, OptimizerState.zeros_like(net.params),
                             [h.xi_state for h in net.heads], ckpt)
             argv = ["eval", "--config", config_path, "--checkpoint", str(ckpt)]
+            if command == "eval --data-dir":
+                argv += ["--data-dir", str(data_dir)]
         assert run_cli(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")

@@ -11,13 +11,26 @@ from msn import network
 from msn.losses import DISTANCE_MODES, LogitBatch, XiState, msl_total
 from msn.network import (
     ATTACHMENT_CONFIGS,
+    VGG_CONVS_PER_BLOCK,
     NetworkSpec,
     attach_msn_loss,
     build_network,
     forward_heads,
     predict,
 )
-from msn.tensor import NonFiniteError, Tensor, conv2d, grad_check, no_grad
+from msn.tensor import (
+    NonFiniteError,
+    Tensor,
+    batch_norm,
+    conv2d,
+    global_average_pool,
+    grad_check,
+    linear,
+    max_pool2,
+    no_grad,
+    relu,
+    residual_add,
+)
 
 
 def small_spec(**overrides):
@@ -121,6 +134,139 @@ class TestBuild:
         b = build_network(spec, seed=8)
         assert any(not np.array_equal(a.params[n].data, b.params[n].data)
                    for n in a.params if n.endswith("kernel"))
+
+
+def reference_build(spec, seed, dtype):
+    """The trunk layout written out by hand, as build_network made it before
+    the forward walk did: (params, buffers)."""
+    rng = np.random.default_rng(seed)
+    params, buffers = {}, {}
+
+    def add_param(name, shape, fan_in=None):
+        if fan_in is None:
+            data = np.zeros(shape, dtype=dtype)
+        else:
+            std = np.sqrt(2.0 / fan_in)
+            data = (rng.standard_normal(shape) * std).astype(dtype)
+        params[name] = Tensor(data, requires_grad=True)
+
+    def add_conv(name, kh, kw, cin, cout):
+        add_param(f"{name}.kernel", (kh, kw, cin, cout), fan_in=kh * kw * cin)
+        add_param(f"{name}.bias", (cout,))
+
+    def add_bn(name, c):
+        params[f"{name}.gamma"] = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
+        params[f"{name}.beta"] = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
+        buffers[f"{name}.running_mean"] = np.zeros(c, dtype=dtype)
+        buffers[f"{name}.running_var"] = np.ones(c, dtype=dtype)
+
+    chans = spec.block_channels()
+    cin = spec.input_shape[2]
+    for block in range(1, spec.num_blocks + 1):
+        cout = chans[block - 1]
+        if spec.family == "vgg":
+            for j in range(1, VGG_CONVS_PER_BLOCK[block - 1] + 1):
+                add_conv(f"block{block}.conv{j}", 3, 3, cin, cout)
+                cin = cout
+        elif block == 1:
+            add_conv("block1.conv1", 3, 3, cin, cout)
+            cin = cout
+        else:
+            for u in range(1, spec.depth_k + 1):
+                unit = f"block{block}.unit{u}"
+                ucin = cin if u == 1 else cout
+                add_bn(f"{unit}.bn1", ucin)
+                add_conv(f"{unit}.conv1", 3, 3, ucin, cout)
+                add_bn(f"{unit}.bn2", cout)
+                add_conv(f"{unit}.conv2", 3, 3, cout, cout)
+                if ucin != cout:
+                    add_conv(f"{unit}.proj", 1, 1, ucin, cout)
+            cin = cout
+
+    for block in spec.attachment:
+        d = chans[block - 1]
+        add_param(f"head{block}.fc.weight", (d, spec.num_classes), fan_in=d)
+        add_param(f"head{block}.fc.bias", (spec.num_classes,))
+    return params, buffers
+
+
+def reference_forward(spec, p, b, x, mode):
+    """The hand-written forward pass that went with reference_build."""
+    def bn(name, t):
+        return batch_norm(t, p[f"{name}.gamma"], p[f"{name}.beta"],
+                          b[f"{name}.running_mean"], b[f"{name}.running_var"], mode=mode)
+
+    logits = []
+    for block in range(1, spec.num_blocks + 1):
+        if spec.family == "vgg":
+            for j in range(1, VGG_CONVS_PER_BLOCK[block - 1] + 1):
+                x = relu(conv2d(x, p[f"block{block}.conv{j}.kernel"],
+                                p[f"block{block}.conv{j}.bias"], stride=1, pad=1))
+        elif block == 1:
+            x = conv2d(x, p["block1.conv1.kernel"], p["block1.conv1.bias"], stride=1, pad=1)
+        else:
+            for u in range(1, spec.depth_k + 1):
+                unit = f"block{block}.unit{u}"
+                h = relu(bn(f"{unit}.bn1", x))
+                h = conv2d(h, p[f"{unit}.conv1.kernel"], p[f"{unit}.conv1.bias"],
+                           stride=1, pad=1)
+                h = relu(bn(f"{unit}.bn2", h))
+                h = conv2d(h, p[f"{unit}.conv2.kernel"], p[f"{unit}.conv2.bias"],
+                           stride=1, pad=1)
+                if f"{unit}.proj.kernel" in p:
+                    skip = conv2d(x, p[f"{unit}.proj.kernel"], p[f"{unit}.proj.bias"],
+                                  stride=1, pad=0)
+                else:
+                    skip = x
+                x = residual_add(h, skip)
+        if block in spec.attachment:
+            logits.append(linear(global_average_pool(x), p[f"head{block}.fc.weight"],
+                                 p[f"head{block}.fc.bias"]))
+        if block < spec.num_blocks:
+            x = max_pool2(x)
+    return logits
+
+
+def bit_differences(got: dict, want: dict) -> list:
+    """Names whose order, shape, dtype or bytes differ between two tensor dicts."""
+    if list(got) != list(want):
+        return [f"names {list(got)} != {list(want)}"]
+    def array(t):
+        return t.data if isinstance(t, Tensor) else t
+
+    arrays = [(n, array(got[n]), array(want[n])) for n in got]
+    return [n for n, a, w in arrays
+            if a.shape != w.shape or a.dtype != w.dtype or a.tobytes() != w.tobytes()]
+
+
+class TestWalkMatchesReferenceLayout:
+    """The forward walk builds what the hand-written layout built, bit for bit,
+    and computes the same logits and batch-norm statistics."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("family", ["vgg", "resnet", "wide-resnet"])
+    def test_grid(self, family, dtype):
+        width = 1 / 16 if family == "vgg" else 0.25
+        images = np.random.default_rng(5).standard_normal((2, 8, 8, 3)).astype(dtype)
+        seed = 0
+        for depth_k in (1, 2):
+            for num_blocks in (1, 2, 3, 4):
+                for attachment in ((1,), (num_blocks,), tuple(range(1, num_blocks + 1))):
+                    seed += 1
+                    spec = NetworkSpec(family=family, depth_k=depth_k, width_multiplier=width,
+                                       widen_factor=2, attachment=attachment, num_classes=3,
+                                       input_shape=(8, 8, 3), num_blocks=num_blocks)
+                    state = build_network(spec, seed=seed, dtype=dtype)
+                    params, buffers = reference_build(spec, seed, dtype)
+                    assert bit_differences(state.params, params) == [], spec
+                    assert bit_differences(state.buffers, buffers) == [], spec
+                    assert [h.attach_block for h in state.heads] == list(attachment)
+                    for mode in ("train", "infer"):
+                        got = forward_heads(state, images, mode=mode)
+                        want = reference_forward(spec, params, buffers, Tensor(images), mode)
+                        assert bit_differences(dict(enumerate(got)),
+                                               dict(enumerate(want))) == [], (spec, mode)
+                        assert bit_differences(state.buffers, buffers) == [], (spec, mode)
 
 
 class TestForwardHeads:

@@ -367,6 +367,8 @@ def reduced_shapes(monkeypatch, config, batch):
     output (its gradient is what the bias gradient sums) and each batch_norm
     and global_average_pool input."""
     spec = RunConfig.from_file(CONFIGS / f"{config}.json").network
+    # built before the ops are wrapped: building walks the trunk at batch 1
+    state = build_network(spec, seed=0)
     shapes = set()
 
     def record(name, of_output):
@@ -383,8 +385,7 @@ def reduced_shapes(monkeypatch, config, batch):
     record("batch_norm", False)
     record("global_average_pool", False)
     with no_grad():
-        forward_heads(build_network(spec, seed=0),
-                      np.zeros((batch, *spec.input_shape), np.float32))
+        forward_heads(state, np.zeros((batch, *spec.input_shape), np.float32))
     return sorted(shapes)
 
 
