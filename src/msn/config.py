@@ -34,6 +34,13 @@ def _check_keys(section: str, given: dict, allowed) -> None:
         raise ConfigError(f"unknown key(s) in {section}: {unknown}")
 
 
+def _at_least_1(config, *names) -> None:
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass(frozen=True)
 class BlobsConfig:
     classes: int = 4
@@ -43,12 +50,20 @@ class BlobsConfig:
     separation: float = 3.0
     noise: float = 1.0
 
+    def __post_init__(self):
+        _at_least_1(self, "classes", "train_per_class", "test_per_class")
+
 
 @dataclass(frozen=True)
 class SubsetConfig:
     classes: tuple
     train_per_class: int
     test_per_class: int
+
+    def __post_init__(self):
+        if not self.classes or len(set(self.classes)) != len(self.classes):
+            raise ValueError(f"classes must be non-empty and distinct, got {list(self.classes)}")
+        _at_least_1(self, "train_per_class", "test_per_class")
 
 
 @dataclass(frozen=True)
@@ -67,6 +82,10 @@ class DataConfig:
     def __post_init__(self):
         if self.dataset not in ("blobs", "cifar10"):
             raise ValueError(f"unknown dataset {self.dataset!r}")
+        if self.zca_eps <= 0:
+            raise ValueError(f"zca_eps must be positive, got {self.zca_eps}")
+        if self.subset is not None and self.dataset != "cifar10":
+            raise ValueError(f"subset applies to cifar10, not to {self.dataset!r}")
 
     def resolve_data_dir(self) -> str:
         return self.data_dir or os.environ.get("MSN_DATA_DIR", "data")
@@ -223,8 +242,9 @@ def load_datasets(config: RunConfig):
                 f"`msn fetch-data --dataset cifar10 --out {data_dir}` first")
         train, test = D.load_cifar10(data_dir)
         if dc.subset is not None:
-            train = D.subset_per_class(train, dc.subset.classes, dc.subset.train_per_class)
-            test = D.subset_per_class(test, dc.subset.classes, dc.subset.test_per_class)
+            s = dc.subset
+            train = _build("data.subset", D.subset_per_class, train, s.classes, s.train_per_class)
+            test = _build("data.subset", D.subset_per_class, test, s.classes, s.test_per_class)
     if train.images.shape[1:] != spec.input_shape:
         raise ConfigError(f"data: image shape {train.images.shape[1:]} is not "
                           f"network.input_shape {spec.input_shape}")

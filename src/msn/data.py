@@ -190,39 +190,35 @@ def cifar10_files_present(data_dir) -> bool:
     return _files_ok(Path(data_dir), CIFAR10_EXPECTED)
 
 
-def _parse_cifar_records(raw: bytes, path: str):
-    if len(raw) == 0 or len(raw) % RECORD_BYTES:
+def _read_cifar_records(path: Path) -> np.ndarray:
+    """The checked uint8 records of one batch file, shape (n, RECORD_BYTES)."""
+    if not path.is_file():
+        raise DatasetFormatError(f"missing dataset file {path}")
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size == 0 or raw.size % RECORD_BYTES:
         raise DatasetFormatError(
-            f"{path}: {len(raw)} bytes is not a whole number of "
+            f"{path}: {raw.size} bytes is not a whole number of "
             f"{RECORD_BYTES}-byte records")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, RECORD_BYTES)
-    labels = arr[:, 0].astype(np.int64)
-    if labels.max(initial=0) > 9:
-        raise DatasetFormatError(f"{path}: label byte {labels.max()} > 9")
-    pixels = arr[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-    images = pixels.astype(np.float32) / 255.0
-    return images, labels
+    records = raw.reshape(-1, RECORD_BYTES)
+    top = records[:, 0].max()
+    if top > 9:
+        raise DatasetFormatError(f"{path}: label byte {top} > 9")
+    return records
 
 
 def load_cifar10(data_dir) -> tuple:
-    """Read the binary batches; returns (train, test) with pixels in [0, 1]."""
+    """Read the binary batches; returns (train, test) with pixels in [0, 1].
+    A split's records stay uint8 until its one float32 conversion."""
     data_dir = Path(data_dir)
-    train_parts = []
-    for rel in CIFAR10_TRAIN_FILES:
-        path = data_dir / rel
-        if not path.is_file():
-            raise DatasetFormatError(f"missing dataset file {path}")
-        train_parts.append(_parse_cifar_records(path.read_bytes(), str(path)))
-    test_path = data_dir / CIFAR10_TEST_FILES[0]
-    if not test_path.is_file():
-        raise DatasetFormatError(f"missing dataset file {test_path}")
-    test_images, test_labels = _parse_cifar_records(test_path.read_bytes(), str(test_path))
-    train = LabeledDataset(
-        images=np.concatenate([p[0] for p in train_parts]),
-        labels=np.concatenate([p[1] for p in train_parts]),
-        num_classes=10)
-    test = LabeledDataset(images=test_images, labels=test_labels, num_classes=10)
-    return train, test
+    splits = []
+    for files in (CIFAR10_TRAIN_FILES, CIFAR10_TEST_FILES):
+        records = np.concatenate([_read_cifar_records(data_dir / rel) for rel in files])
+        pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+        images = pixels.astype(np.float32, order="C")
+        images /= 255.0
+        splits.append(LabeledDataset(images=images, labels=records[:, 0].astype(np.int64),
+                                     num_classes=10))
+    return tuple(splits)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,8 @@ class TrainConfig:
             raise ValueError("lr_period and eval_interval must be at least 1")
         if self.batching not in ("shuffled", "class-aware"):
             raise ValueError(f"unknown batching mode {self.batching!r}")
+        if self.batching == "class-aware" and self.batch_size < 2:
+            raise ValueError("class-aware batching needs batch_size >= 2")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.within_weight < 0:

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from msn import oracles
-from msn.config import RunConfig, load_datasets
 from msn.data import (
     cifar10_files_present,
     global_contrast_normalize,
@@ -37,7 +36,6 @@ from msn.network import NetworkSpec, attach_msn_loss
 from msn.tensor import Tensor
 from msn.trainer import (
     TrainConfig,
-    evaluate,
     save_checkpoint,
     train,
 )
@@ -183,42 +181,19 @@ def test_criterion_06_batch_size_sensitivity():
 # 7. desk-scale training A/B
 # ---------------------------------------------------------------------------
 
-def _shipped_run(name, seed, loss):
-    """Train configs/<name> at ``seed`` with ``loss``: (result, train, test)."""
-    config = RunConfig.from_file(CONFIGS / name, seed=seed, loss=loss)
-    train_ds, test_ds = load_datasets(config)
-    return train(config.train, config.network, train_ds), train_ds, test_ds
-
-
-def _slope(values):
-    return float(np.polyfit(np.arange(len(values)), values, 1)[0])
-
-
 def test_criterion_07_desk_scale_ab():
+    run_pair = runpy.run_path(str(ROOT / "scripts" / "loss_ab.py"))["run_pair"]
     start = time.time()
-    seeds = [0, 1, 2, 3, 4]
-    stats = {"msl": [], "ce": []}
-    for seed in seeds:
-        for mode in ("msl", "ce"):
-            result, train_ds, _ = _shipped_run("blobs_small.json", seed, mode)
-            rows = result.rows
-            train_error = evaluate(result.state, train_ds)
-            first = next((r.iteration for r in rows if r.train_error <= 0.01), None)
-            assert first is not None and first + 200 <= len(rows)
-            early_slope = _slope([r.loss_total for r in rows[first:first + 200]])
-            late_slope = _slope([r.loss_total for r in rows[-200:]])
-            stats[mode].append(dict(
-                train_error=train_error,
-                final_distance=rows[-1].mean_distance,
-                early_slope=early_slope,
-                late_slope=late_slope,
-            ))
+    pairs = [run_pair(CONFIGS / "blobs_small.json", seed) for seed in [0, 1, 2, 3, 4]]
     elapsed = time.time() - start
+    stats = {mode: [pair[mode] for pair in pairs] for mode in ("msl", "ce")}
 
-    # (a) both loss modes fit the training data
+    # (a) both loss modes fit the training data, and reach <= 1% train error
+    # with 200 iterations to spare
     for mode in ("msl", "ce"):
         for s in stats[mode]:
             assert s["train_error"] <= 0.05, (mode, s)
+            assert s["early_slope"] is not None, (mode, s)
 
     # (b) within-class compression under the full loss, >= 4 of 5 seeds
     smaller = sum(m["final_distance"] < c["final_distance"]
@@ -249,14 +224,10 @@ def test_criterion_07_desk_scale_ab():
 
 @needs_cifar
 def test_criterion_08_cifar_subset_msl_and_ce():
+    run_pair = runpy.run_path(str(ROOT / "scripts" / "loss_ab.py"))["run_pair"]
     start = time.time()
-    outcomes = {}
-    for mode in ("msl", "ce"):
-        result, _, test_ds = _shipped_run("cifar_subset.json", 0, mode)
-        test_error = evaluate(result.state, test_ds)
-        within = [r.loss_within for r in result.rows]
-        outcomes[mode] = (test_error, float(np.mean(within[:100])),
-                          float(np.mean(within[-100:])))
+    outcomes = {mode: (s["test_error"], s["within_first100"], s["within_last100"])
+                for mode, s in run_pair(CONFIGS / "cifar_subset.json", 0).items()}
     elapsed = time.time() - start
 
     for mode, (test_error, _, _) in outcomes.items():

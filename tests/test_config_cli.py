@@ -200,6 +200,12 @@ CIFAR_SUBSET_RESOLVED = """\
 }
 """
 
+def subset(classes, dataset="cifar10"):
+    """Mutation: train on ``dataset`` subset to ``classes``, 2 train and 1 test image each."""
+    return lambda d: d["data"].update(dataset=dataset, subset={
+        "classes": classes, "train_per_class": 2, "test_per_class": 1})
+
+
 # Each value has the wrong JSON type or is out of range for its field.
 BAD_VALUES = [
     pytest.param(lambda d: d["train"].update(batch_size=9.7), "train.batch_size",
@@ -232,6 +238,17 @@ BAD_VALUES = [
     pytest.param(lambda d: d["data"].update(subset={"classes": [0, 1], "train_per_class": 2.5,
                                                     "test_per_class": 1}),
                  "data.subset.train_per_class", id="data.subset.train_per_class=2.5"),
+    pytest.param(lambda d: d["train"].update(batch_size=1), "train: class-aware",
+                 id="train.batch_size=1-class-aware"),
+    *(pytest.param(lambda d, k=key, v=value: d["data"]["blobs"].update({k: v}),
+                   f"data.blobs: {key}", id=f"data.blobs.{key}={value}")
+      for key, value in [("classes", 0), ("train_per_class", 0), ("train_per_class", -1),
+                         ("test_per_class", -5)]),
+    *(pytest.param(lambda d, v=v: d["data"].update(zca_eps=v), "data: zca_eps",
+                   id=f"data.zca_eps={v}") for v in (0, -1)),
+    pytest.param(subset([0, 1], dataset="blobs"), "data: subset", id="data.subset-on-blobs"),
+    pytest.param(subset([0, 0]), "data.subset: classes", id="data.subset.classes=[0,0]"),
+    pytest.param(subset([]), "data.subset: classes", id="data.subset.classes=[]"),
 ]
 
 # Each config parses, but its data cannot be built or does not fit the network.
@@ -242,7 +259,25 @@ BAD_DATA = [
                  "input_shape", id="data.blobs.image_shape=[8,8,3]"),
     pytest.param(lambda d: d["data"]["blobs"].update(classes=4), "num_classes",
                  id="data.blobs.classes=4"),
+    # the all-zero records of the cifar_dir fixture hold no image of class 1
+    pytest.param(subset([0, 1]), "data.subset: class 1 has only 0 samples",
+                 id="data.subset-shortfall"),
 ]
+
+
+@pytest.fixture
+def cifar_dir(tmp_path, monkeypatch):
+    """A full-size CIFAR-10 directory, named by MSN_DATA_DIR, of sparse files:
+    every record is zero bytes, so every image is black and of class 0."""
+    from msn import data as D
+
+    data_dir = tmp_path / "cifar"
+    for rel in D.CIFAR10_TRAIN_FILES + D.CIFAR10_TEST_FILES:
+        (data_dir / rel).parent.mkdir(parents=True, exist_ok=True)
+        with open(data_dir / rel, "wb") as fh:
+            fh.truncate(D.CIFAR10_FILE_BYTES)
+    monkeypatch.setenv("MSN_DATA_DIR", str(data_dir))
+    return data_dir
 
 
 class TestConfigSchema:
@@ -373,7 +408,7 @@ class TestLoadDatasets:
         assert abs(train.images.reshape(len(train), -1).mean()) < 0.2
 
     @pytest.mark.parametrize("mutate,needle", BAD_DATA)
-    def test_bad_data_rejected_by_name(self, mutate, needle):
+    def test_bad_data_rejected_by_name(self, mutate, needle, cifar_dir):
         raw = minimal_config()
         mutate(raw)
         with pytest.raises(ConfigError) as exc:
@@ -522,13 +557,16 @@ class TestCliTrainEval:
         assert run_cli(["train", "--config", str(config_path)]) == 1
 
     @pytest.mark.parametrize("mutate,needle", BAD_VALUES + BAD_DATA)
-    def test_bad_config_exits_1_without_run_dir(self, tmp_path, mutate, needle):
+    def test_bad_config_exits_1_without_run_dir(self, tmp_path, capsys, cifar_dir, mutate,
+                                                 needle):
         raw = minimal_config()
         mutate(raw)
         out = tmp_path / "out"
         assert run_cli(["train", "--config", str(write_config(tmp_path, raw)),
                         "--out", str(out)]) == 1
         assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0]
 
     def test_eval_prints_error_and_repeats(self, tmp_path, capsys):
         config_path = write_config(tmp_path, minimal_config())
@@ -614,22 +652,17 @@ class TestCliTrainEval:
 
     @pytest.mark.parametrize("command", ["train", "eval", "eval --data-dir"])
     def test_malformed_cifar_batch_exits_2_without_run_dir(self, tmp_path, capsys, monkeypatch,
-                                                           command):
+                                                           cifar_dir, command):
         from msn import data as D
 
-        data_dir = tmp_path / "data"
-        for rel in D.CIFAR10_TRAIN_FILES + D.CIFAR10_TEST_FILES:
-            (data_dir / rel).parent.mkdir(parents=True, exist_ok=True)
-            with open(data_dir / rel, "wb") as fh:
-                fh.truncate(D.CIFAR10_FILE_BYTES)  # sparse: all-zero records
-        with open(data_dir / D.CIFAR10_TRAIN_FILES[0], "r+b") as fh:
+        with open(cifar_dir / D.CIFAR10_TRAIN_FILES[0], "r+b") as fh:
             fh.write(b"\xff")  # label byte of the first record
         raw = shipped_config("cifar_subset.json")
         if command == "eval --data-dir":
             # only the flag names the malformed data: not the config, not the environment
             monkeypatch.setenv("MSN_DATA_DIR", str(tmp_path / "elsewhere"))
         else:
-            raw["data"]["data_dir"] = str(data_dir)
+            raw["data"]["data_dir"] = str(cifar_dir)
         config_path = str(write_config(tmp_path, raw))
         out = tmp_path / "run"
         if command == "train":
@@ -642,7 +675,7 @@ class TestCliTrainEval:
                             [h.xi_state for h in net.heads], ckpt)
             argv = ["eval", "--config", config_path, "--checkpoint", str(ckpt)]
             if command == "eval --data-dir":
-                argv += ["--data-dir", str(data_dir)]
+                argv += ["--data-dir", str(cifar_dir)]
         assert run_cli(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")

@@ -75,8 +75,7 @@ class TestSpec:
 class TestBuild:
     @pytest.mark.parametrize("family", ["vgg", "resnet", "wide-resnet"])
     def test_config7_attaches_four_heads(self, family):
-        width = 0.125 if family != "wide-resnet" else 0.125
-        spec = NetworkSpec(family=family, depth_k=1, width_multiplier=width,
+        spec = NetworkSpec(family=family, depth_k=1, width_multiplier=0.125,
                            widen_factor=2, attachment=(1, 2, 3, 4),
                            num_classes=4, input_shape=(16, 16, 3))
         state = build_network(spec, seed=0)
@@ -479,12 +478,21 @@ class TestGraphLifetime:
         assert not loss.requires_grad and loss._prev == ()
 
 
+def fixed_head_network(deep_bias, shallow_bias=(0.0, 0.0, 1.0)):
+    """Two heads with zero FC weights: each scores every image with its bias."""
+    state = build_network(small_spec(attachment=(1, 2)), seed=0)
+    for b, bias in ((1, shallow_bias), (2, deep_bias)):
+        state.params[f"head{b}.fc.weight"].data[...] = 0.0
+        state.params[f"head{b}.fc.bias"].data[...] = bias
+    return state
+
+
 class TestPredict:
-    def test_argmax(self):
-        spec = small_spec(num_classes=2)
-        state = build_network(spec, seed=0)
-        logits = np.array([[0.1, 0.9]])
-        assert logits.argmax(axis=1)[0] == 1  # oracle for the rule below
+    def test_argmax(self, rng):
+        # the shallow head's unique maximum is class 2, the deepest head's class 1
+        state = fixed_head_network(deep_bias=[0.1, 0.9, -0.3])
+        preds = predict(state, rng.standard_normal((5, 8, 8, 1)))
+        np.testing.assert_array_equal(preds, [1] * 5)
 
     def test_predict_rules_on_network(self, rng):
         spec = small_spec(attachment=(1, 2))
@@ -494,7 +502,8 @@ class TestPredict:
         deepest = forward_heads(state, images, mode="infer")[-1].data
         np.testing.assert_array_equal(preds, deepest.argmax(axis=1))
 
-    def test_tie_breaks_to_lowest_index(self):
-        # direct check of the tie rule on raw scores
-        scores = np.array([[0.5, 0.5], [1.0, 1.0]])
-        np.testing.assert_array_equal(scores.argmax(axis=1), [0, 0])
+    def test_tie_breaks_to_lowest_index(self, rng):
+        # classes 1 and 2 tie on the deepest head for every image
+        state = fixed_head_network(deep_bias=[-1.0, 0.5, 0.5])
+        preds = predict(state, rng.standard_normal((5, 8, 8, 1)))
+        np.testing.assert_array_equal(preds, [1] * 5)

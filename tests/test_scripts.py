@@ -1,4 +1,4 @@
-"""The scripts under scripts/ start, and blobs_ab runs its shipped experiment."""
+"""The scripts under scripts/ start, and loss_ab runs its shipped experiment."""
 
 import json
 import os
@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,12 +23,20 @@ def test_help_exits_0(script):
     assert done.stdout.startswith("usage:")
 
 
-def test_blobs_ab_runs_once_on_a_short_copy_of_its_config(tmp_path):
-    blobs_ab = runpy.run_path(str(ROOT / "scripts" / "blobs_ab.py"))
-    raw = json.loads(blobs_ab["CONFIG"].read_text())
+def test_loss_ab_runs_a_pair_on_a_short_copy_of_its_config(tmp_path):
+    loss_ab = runpy.run_path(str(ROOT / "scripts" / "loss_ab.py"))
+    raw = json.loads(loss_ab["CONFIG"].read_text())
     raw["train"]["iterations"] = 200
     (tmp_path / "short.json").write_text(json.dumps(raw))
-    row = blobs_ab["run_once"](tmp_path / "short.json", 0, "msl")
-    assert set(row) == {"train_error", "test_error", "distance", "late_slope"}
-    assert 0.0 <= row["train_error"] <= 1.0 and 0.0 <= row["test_error"] <= 1.0
-    assert row["distance"] > 0.0
+    pair = loss_ab["run_pair"](tmp_path / "short.json", 0)
+    assert list(pair) == ["msl", "ce"]
+    for mode, s in pair.items():
+        assert set(s) == set("train_error test_error saturated_at early_slope late_slope "
+                             "final_distance within_first100 within_last100".split()), mode
+        assert 0.0 <= s["train_error"] <= 1.0 and 0.0 <= s["test_error"] <= 1.0
+        # saturating after iteration 0 leaves fewer than 200 iterations to fit
+        assert s["saturated_at"] is None or 0 < s["saturated_at"] < 200
+        assert s["early_slope"] is None
+        assert np.isfinite(s["late_slope"]) and s["final_distance"] > 0.0
+    assert pair["msl"]["within_first100"] > 0.0
+    assert pair["ce"]["within_first100"] == pair["ce"]["within_last100"] == 0.0
