@@ -29,9 +29,10 @@ def summarize(result, train_ds, test_ds) -> dict:
     final train and test errors; the first iteration at <= 1% batch train
     error, and the total-loss slope over the 200 iterations from it (None
     when either is missing) and over the last 200 (the cross-entropy run
-    freezes after saturation, the full loss keeps moving); the final mean
-    in-class distance; the mean within-class loss over the first and the
-    last 100 iterations."""
+    freezes after saturation, the full loss keeps moving; None below 2
+    iterations); the final mean in-class distance; the mean within-class
+    loss over the first and the last 100 iterations (None for a run of 0
+    iterations)."""
     rows = result.rows
     losses = [r.loss_total for r in rows]
     within = [r.loss_within for r in rows]
@@ -42,10 +43,10 @@ def summarize(result, train_ds, test_ds) -> dict:
         test_error=evaluate(result.state, test_ds),
         saturated_at=first,
         early_slope=_slope(losses[first:first + 200]) if room else None,
-        late_slope=_slope(losses[-200:]),
-        final_distance=rows[-1].mean_distance,
-        within_first100=float(np.mean(within[:100])),
-        within_last100=float(np.mean(within[-100:])),
+        late_slope=_slope(losses[-200:]) if len(losses) >= 2 else None,
+        final_distance=rows[-1].mean_distance if rows else None,
+        within_first100=float(np.mean(within[:100])) if rows else None,
+        within_last100=float(np.mean(within[-100:])) if rows else None,
     )
 
 
@@ -82,8 +83,9 @@ def main():
         for mode, s in pair.items():
             print(f"{seed:>4} {mode:>4} {s['train_error']:>9.4f} {s['test_error']:>8.4f} "
                   f"{_cell(s['saturated_at'], 'd'):>8} {_cell(s['early_slope'], '+.2e'):>12} "
-                  f"{s['late_slope']:>+12.2e} {s['final_distance']:>13.4f} "
-                  f"{s['within_first100']:>15.4f} {s['within_last100']:>14.4f}")
+                  f"{_cell(s['late_slope'], '+.2e'):>12} {_cell(s['final_distance'], '.4f'):>13} "
+                  f"{_cell(s['within_first100'], '.4f'):>15} "
+                  f"{_cell(s['within_last100'], '.4f'):>14}")
     return 0
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from msn.cli import main
+from msn import data as D
 from msn.config import ConfigError, RunConfig, load_datasets
 from msn.network import build_network
 from msn.trainer import OptimizerState, TrainConfig, save_checkpoint, train
@@ -259,9 +260,6 @@ BAD_DATA = [
                  "input_shape", id="data.blobs.image_shape=[8,8,3]"),
     pytest.param(lambda d: d["data"]["blobs"].update(classes=4), "num_classes",
                  id="data.blobs.classes=4"),
-    # the all-zero records of the cifar_dir fixture hold no image of class 1
-    pytest.param(subset([0, 1]), "data.subset: class 1 has only 0 samples",
-                 id="data.subset-shortfall"),
 ]
 
 
@@ -269,8 +267,6 @@ BAD_DATA = [
 def cifar_dir(tmp_path, monkeypatch):
     """A full-size CIFAR-10 directory, named by MSN_DATA_DIR, of sparse files:
     every record is zero bytes, so every image is black and of class 0."""
-    from msn import data as D
-
     data_dir = tmp_path / "cifar"
     for rel in D.CIFAR10_TRAIN_FILES + D.CIFAR10_TEST_FILES:
         (data_dir / rel).parent.mkdir(parents=True, exist_ok=True)
@@ -408,7 +404,7 @@ class TestLoadDatasets:
         assert abs(train.images.reshape(len(train), -1).mean()) < 0.2
 
     @pytest.mark.parametrize("mutate,needle", BAD_DATA)
-    def test_bad_data_rejected_by_name(self, mutate, needle, cifar_dir):
+    def test_bad_data_rejected_by_name(self, mutate, needle):
         raw = minimal_config()
         mutate(raw)
         with pytest.raises(ConfigError) as exc:
@@ -426,8 +422,6 @@ def write_fullsize_archive(tmp_path):
     """Canonically-sized zero-filled batches; gzip keeps this tiny on disk."""
     import io
     import tarfile
-
-    from msn import data as D
 
     buf = io.BytesIO()
     payload = bytes(D.CIFAR10_FILE_BYTES)
@@ -557,8 +551,7 @@ class TestCliTrainEval:
         assert run_cli(["train", "--config", str(config_path)]) == 1
 
     @pytest.mark.parametrize("mutate,needle", BAD_VALUES + BAD_DATA)
-    def test_bad_config_exits_1_without_run_dir(self, tmp_path, capsys, cifar_dir, mutate,
-                                                 needle):
+    def test_bad_config_exits_1_without_run_dir(self, tmp_path, capsys, mutate, needle):
         raw = minimal_config()
         mutate(raw)
         out = tmp_path / "out"
@@ -567,6 +560,12 @@ class TestCliTrainEval:
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0]
+
+    def test_subset_shortfall_exits_1_without_run_dir(self, tmp_path, capsys, cifar_dir):
+        # the all-zero records of cifar_dir hold no image of class 1; kept out
+        # of BAD_DATA so the full-size read runs once, not once per parameter
+        self.test_bad_config_exits_1_without_run_dir(
+            tmp_path, capsys, subset([0, 1]), "data.subset: class 1 has only 0 samples")
 
     def test_eval_prints_error_and_repeats(self, tmp_path, capsys):
         config_path = write_config(tmp_path, minimal_config())
@@ -653,8 +652,6 @@ class TestCliTrainEval:
     @pytest.mark.parametrize("command", ["train", "eval", "eval --data-dir"])
     def test_malformed_cifar_batch_exits_2_without_run_dir(self, tmp_path, capsys, monkeypatch,
                                                            cifar_dir, command):
-        from msn import data as D
-
         with open(cifar_dir / D.CIFAR10_TRAIN_FILES[0], "r+b") as fh:
             fh.write(b"\xff")  # label byte of the first record
         raw = shipped_config("cifar_subset.json")

@@ -1,5 +1,5 @@
 """Preprocessing statistics, batching guarantees, synthetic data, and the
-fetch/load path (exercised on synthetic archives and batch files)."""
+fetch/load path (exercised on synthetic archives; real CIFAR-10 when present)."""
 
 import hashlib
 import io
@@ -426,3 +426,19 @@ class TestLoader:
         os.remove(tmp_path / D.CIFAR10_TEST_FILES[0])
         with pytest.raises(D.DatasetFormatError):
             D.load_cifar10(tmp_path)
+
+
+def cifar10_dir():
+    root = os.environ.get("MSN_DATA_DIR", "data")
+    return root if D.cifar10_files_present(root) else None
+
+
+@pytest.mark.skipif(cifar10_dir() is None,
+                    reason="real CIFAR-10 not present (set MSN_DATA_DIR or run "
+                           "`msn fetch-data --dataset cifar10 --out data`)")
+class TestRealCifar10:
+    def test_loader_counts_and_class_balance(self):
+        train, test = D.load_cifar10(cifar10_dir())
+        assert len(train) == 50_000 and len(test) == 10_000
+        _, counts = np.unique(train.labels, return_counts=True)
+        assert counts.tolist() == [5000] * 10

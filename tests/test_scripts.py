@@ -23,10 +23,11 @@ def test_help_exits_0(script):
     assert done.stdout.startswith("usage:")
 
 
-def test_loss_ab_runs_a_pair_on_a_short_copy_of_its_config(tmp_path):
+@pytest.mark.parametrize("iterations", [200, 1, 0])
+def test_loss_ab_runs_a_pair_on_a_short_copy_of_its_config(tmp_path, iterations):
     loss_ab = runpy.run_path(str(ROOT / "scripts" / "loss_ab.py"))
     raw = json.loads(loss_ab["CONFIG"].read_text())
-    raw["train"]["iterations"] = 200
+    raw["train"]["iterations"] = iterations
     (tmp_path / "short.json").write_text(json.dumps(raw))
     pair = loss_ab["run_pair"](tmp_path / "short.json", 0)
     assert list(pair) == ["msl", "ce"]
@@ -37,6 +38,11 @@ def test_loss_ab_runs_a_pair_on_a_short_copy_of_its_config(tmp_path):
         # saturating after iteration 0 leaves fewer than 200 iterations to fit
         assert s["saturated_at"] is None or 0 < s["saturated_at"] < 200
         assert s["early_slope"] is None
-        assert np.isfinite(s["late_slope"]) and s["final_distance"] > 0.0
-    assert pair["msl"]["within_first100"] > 0.0
-    assert pair["ce"]["within_first100"] == pair["ce"]["within_last100"] == 0.0
+        # a slope needs 2 iterations, the distance and within-loss means 1
+        assert (s["late_slope"] is None) == (iterations < 2)
+        assert (s["final_distance"] is None) == (s["within_last100"] is None) == (iterations == 0)
+    if iterations == 200:
+        assert all(np.isfinite(s["late_slope"]) and s["final_distance"] > 0.0
+                   for s in pair.values())
+        assert pair["msl"]["within_first100"] > 0.0
+        assert pair["ce"]["within_first100"] == pair["ce"]["within_last100"] == 0.0
