@@ -220,7 +220,7 @@ def _trunk(state: NetworkState, x: Tensor, mode: str, update_stats: bool,
     def conv(name, t, k, cout):
         cin = t.shape[-1]
         return conv2d(t, get(p, f"{name}.kernel", (k, k, cin, cout), fan_in=k * k * cin),
-                      get(p, f"{name}.bias", (cout,)), stride=1, pad=k // 2)
+                      get(p, f"{name}.bias", (cout,)), pad=k // 2)
 
     def bn(name, t):
         c = t.shape[-1:]

@@ -11,11 +11,11 @@ import math
 import numpy as np
 
 
-def conv2d_loops(x, kernel, bias, stride=1, pad=0):
+def conv2d_loops(x, kernel, bias, pad=0):
     n, h, w, ci = x.shape
     kh, kw, _, co = kernel.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
+    oh = h + 2 * pad - kh + 1
+    ow = w + 2 * pad - kw + 1
     padded = np.zeros((n, h + 2 * pad, w + 2 * pad, ci), dtype=np.float64)
     padded[:, pad:pad + h, pad:pad + w, :] = x
     out = np.zeros((n, oh, ow, co), dtype=np.float64)
@@ -27,13 +27,12 @@ def conv2d_loops(x, kernel, bias, stride=1, pad=0):
                     for di in range(kh):
                         for dj in range(kw):
                             for c in range(ci):
-                                acc += padded[b, i * stride + di, j * stride + dj, c] \
-                                    * kernel[di, dj, c, o]
+                                acc += padded[b, i + di, j + dj, c] * kernel[di, dj, c, o]
                     out[b, i, j, o] = acc + bias[o]
     return out
 
 
-def conv2d_input_grad_loops(x, kernel, g, stride=1, pad=0):
+def conv2d_input_grad_loops(x, kernel, g, pad=0):
     """Input gradient of ``conv2d_loops`` for output gradient ``g``: each
     output entry's gradient, times the kernel weight that joined it to an
     input pixel, added into that pixel, zero padding dropped."""
@@ -48,7 +47,7 @@ def conv2d_input_grad_loops(x, kernel, g, stride=1, pad=0):
                     for di in range(kh):
                         for dj in range(kw):
                             for c in range(ci):
-                                padded[b, i * stride + di, j * stride + dj, c] += \
+                                padded[b, i + di, j + dj, c] += \
                                     g[b, i, j, o] * kernel[di, dj, c, o]
     return padded[:, pad:pad + h, pad:pad + w, :]
 

@@ -170,10 +170,10 @@ def _with_backward(out: Tensor, backward: Callable[[], None]) -> Tensor:
 # layer operations
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+def _im2col(x: np.ndarray, kh: int, kw: int, pad: int):
     n, h, w, ci = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
+    oh = h + 2 * pad - kh + 1
+    ow = w + 2 * pad - kw + 1
     if pad:
         # zero only the border, then copy the input into the interior
         img = np.empty((n, h + 2 * pad, w + 2 * pad, ci), x.dtype)
@@ -189,15 +189,15 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     s0, s1, s2, s3 = img.strides
     windows = np.lib.stride_tricks.as_strided(
         img, shape=(n, oh, ow, kh, kw, ci),
-        strides=(s0, stride * s1, stride * s2, s1, s2, s3), writeable=False)
+        strides=(s0, s1, s2, s1, s2, s3), writeable=False)
     return windows.reshape(n * oh * ow, kh * kw * ci), oh, ow
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation with zero padding.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
+    """Cross-correlation at stride 1 with zero padding.
 
     ``x`` is NHWC, ``kernel`` is (Kh, Kw, Ci, Co), ``bias`` is (Co,). Output
-    shape is (N, (H+2p-Kh)//s+1, (W+2p-Kw)//s+1, Co).
+    shape is (N, H+2p-Kh+1, W+2p-Kw+1, Co).
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeMismatchError(
@@ -210,16 +210,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     if bias.data.shape != (co,):
         raise ShapeMismatchError(
             f"bias shape {bias.data.shape} does not match out-channels of kernel {kernel.shape}")
-    if stride < 1 or pad < 0:
-        raise ValueError(f"invalid stride={stride} or pad={pad}")
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    if oh < 1 or ow < 1:
+    if pad < 0:
+        raise ValueError(f"invalid pad={pad}")
+    if h + 2 * pad < kh or w + 2 * pad < kw:
         raise ShapeMismatchError(
             f"conv2d output would be empty for input {x.shape}, kernel {kernel.shape}, "
-            f"stride {stride}, pad {pad}")
+            f"pad {pad}")
 
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
+    cols, oh, ow = _im2col(x.data, kh, kw, pad)
     wmat = kernel.data.reshape(kh * kw * ci, co)
     out2d = cols @ wmat
     out2d += bias.data
@@ -243,8 +241,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
             gimg = np.zeros((n, h + 2 * pad, w + 2 * pad, ci), dtype=out.grad.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    gimg[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :] += \
-                        gtaps[i, j]
+                    gimg[:, i:i + oh, j:j + ow, :] += gtaps[i, j]
             accumulate_grad(x, gimg[:, pad:pad + h, pad:pad + w, :])
 
     return _with_backward(out, _bw)
@@ -327,15 +324,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                mode: str = "train", eps: float = 1e-5, momentum: float = 0.9,
                update_stats: bool = True) -> Tensor:
-    """Per-channel normalization over the batch (and spatial axes for NHWC input).
+    """Per-channel normalization of an NHWC input over its batch and spatial axes.
 
     Train mode normalizes by batch statistics and, unless ``update_stats`` is
     False, folds them into the running buffers (in place). Infer mode uses the
     running buffers. ``running_mean``/``running_var`` are plain arrays owned by
     the caller, not part of the autodiff graph.
     """
-    if x.data.ndim not in (2, 4):
-        raise ShapeMismatchError(f"batch_norm needs a rank-2 or rank-4 input, got {x.shape}")
+    if x.data.ndim != 4:
+        raise ShapeMismatchError(f"batch_norm needs a rank-4 input, got {x.shape}")
     c = x.shape[-1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeMismatchError(
@@ -346,13 +343,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     # einsum over the leading axes gives add.reduce's bits there, 3-5x faster
     # (tests/test_tensor_ops.py pins the equality); m is a Python int, so a
     # float32 sum divided by it stays float32
-    spec = 'nc->c' if x.data.ndim == 2 else 'nhwc->c'
     m = x.data.size // c
 
     if mode == "train":
-        mu = np.einsum(spec, x.data) / m
+        mu = np.einsum('nhwc->c', x.data) / m
         d = x.data - mu
-        var = np.einsum(spec, d * d) / m  # numpy's two-pass biased variance
+        var = np.einsum('nhwc->c', d * d) / m  # numpy's two-pass biased variance
         if update_stats:
             running_mean[:] = momentum * running_mean + (1.0 - momentum) * mu
             running_var[:] = momentum * running_var + (1.0 - momentum) * var
@@ -367,8 +363,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     def _bw():
         g = out.grad
-        gsum = np.einsum(spec, g)
-        gxhat_sum = np.einsum(spec, g * xhat)
+        gsum = np.einsum('nhwc->c', g)
+        gxhat_sum = np.einsum('nhwc->c', g * xhat)
         if beta.requires_grad:
             accumulate_grad(beta, gsum)
         if gamma.requires_grad:

@@ -6,7 +6,6 @@ synthetic data. Expected wall time for the full module is a few minutes,
 dominated by the five-seed A/B training runs of criterion 7.
 """
 
-import math
 import os
 import runpy
 import time
@@ -15,7 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msn import oracles
 from msn.data import (
     cifar10_files_present,
     global_contrast_normalize,
@@ -25,21 +23,13 @@ from msn.data import (
     zca_apply,
     zca_fit,
 )
-from msn.losses import (
-    LogitBatch,
-    XiState,
-    between_class_loss,
-    msl_total,
-    within_class_loss,
-)
-from msn.network import NetworkSpec, attach_msn_loss
-from msn.tensor import Tensor
+from msn.network import NetworkSpec
 from msn.trainer import (
     TrainConfig,
     save_checkpoint,
     train,
 )
-from msn.verify import run_suites
+from msn.verify import invariant_suite, oracle_suite, run_suites
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +38,13 @@ CONFIGS = ROOT / "configs"
 
 def report(number, detail):
     print(f"ACCEPTANCE {number}: PASS ({detail})")
+
+
+def check(suite, seed, name):
+    """The one result called ``name`` of an `msn verify` suite, asserted to pass."""
+    [result] = [r for r in suite(seed) if r.name == name]
+    assert result.passed, result.line()
+    return result
 
 
 def _data_dir():
@@ -83,17 +80,8 @@ def test_criterion_01_gradient_suite():
 # ---------------------------------------------------------------------------
 
 def test_criterion_02_singleton_batches_reduce_to_cross_entropy():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        c = int(rng.integers(2, 11))
-        n = int(rng.integers(1, c + 1))
-        batch = LogitBatch(q=rng.standard_normal((n, c)) * 3,
-                           y=rng.permutation(c)[:n])
-        breakdown, grad = msl_total(batch, xi=0.5)
-        ce, ce_grad = between_class_loss(batch)
-        assert breakdown.total == ce  # bit-for-bit
-        assert breakdown.within == 0.0
-        np.testing.assert_array_equal(grad, ce_grad)
+    # 100 batches of distinct labels: total, within and gradient bit for bit
+    check(invariant_suite, 2, "invariant/singleton_batch_reduces_to_ce")
     report(2, "100 all-singleton batches, bit-for-bit equality")
 
 
@@ -102,18 +90,8 @@ def test_criterion_02_singleton_batches_reduce_to_cross_entropy():
 # ---------------------------------------------------------------------------
 
 def test_criterion_03_within_class_oracle():
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(2, 65))
-        c = int(rng.integers(2, 11))
-        q = rng.standard_normal((n, c)) * 3
-        y = rng.integers(0, c, n)
-        loss, _, _ = within_class_loss(LogitBatch(q=q, y=y), xi=0.5)
-        brute = oracles.within_class_brute(q, y, 0.5)
-        worst = max(worst, abs(loss - brute) / max(1.0, abs(brute)))
-    assert worst <= 1e-10
-    report(3, f"200 batches, worst rel err {worst:.2e}")
+    result = check(oracle_suite, 3, "oracle/within_class_vs_all_pairs")
+    report(3, f"200 batches, worst rel err {result.worst:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -121,23 +99,8 @@ def test_criterion_03_within_class_oracle():
 # ---------------------------------------------------------------------------
 
 def test_criterion_04_xi_schedule_sequence():
-    state = XiState()  # initial 0.5, decay 0.9, floor 1e-4, window 100
-    observed = [state.xi]
-    for _ in range(120):
-        for _ in range(2 * state.window):
-            state.update(1.0)
-        observed.append(state.xi)
-        if state.xi == state.floor and observed[-2] == state.floor:
-            break
-    expected = [0.5]
-    while expected[-1] > state.floor:
-        expected.append(max(state.floor, expected[-1] * 0.9))
-    assert observed[:len(expected)] == expected  # exact geometric grid
-    assert observed[0] == 0.5
-    assert observed[1] == pytest.approx(0.45, rel=1e-15)
-    assert observed[2] == pytest.approx(0.405, rel=1e-15)
-    assert min(observed) == state.floor == 1e-4
-    report(4, f"{len(expected) - 1} decays from 0.5 down to the 1e-4 floor, exact")
+    check(invariant_suite, 4, "invariant/xi_forced_plateau_sequence")
+    report(4, "decays by 0.9 from 0.5 down to the 1e-4 floor and holds there, exact")
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +108,9 @@ def test_criterion_04_xi_schedule_sequence():
 # ---------------------------------------------------------------------------
 
 def test_criterion_05_head_averaging():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for count in (1, 2, 3, 4):
-        n, c = 24, 6
-        y = rng.integers(0, c, n)
-        logits = [Tensor(rng.standard_normal((n, c)) * 2, requires_grad=True)
-                  for _ in range(count)]
-        xi_states = [XiState(initial_xi=0.1 * (i + 1)) for i in range(count)]
-        loss, aggregate, per_head = attach_msn_loss(logits, y, xi_states)
-        mean_total = math.fsum(bd.total for bd in per_head) / count
-        worst = max(worst, abs(aggregate.total - mean_total))
-        loss.backward()
-        for t, xi_state in zip(logits, xi_states):
-            _, alone_grad = msl_total(LogitBatch(q=t.data, y=y), xi_state.xi)
-            np.testing.assert_array_equal(t.grad, alone_grad * (1.0 / count))
-    assert worst <= 1e-12
-    report(5, f"head counts 1-4, worst deviation {worst:.2e}")
+    # head counts 1-4, each head at its own xi: gradients bit for bit, total to 1e-12
+    result = check(invariant_suite, 5, "invariant/head_averaging")
+    report(5, f"head counts 1-4, worst deviation {result.worst:.2e}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from msn import data as D
 from msn.config import ConfigError, RunConfig, load_datasets
 from msn.network import build_network
 from msn.trainer import OptimizerState, TrainConfig, save_checkpoint, train
+from msn.verify import gradcheck_suite, invariant_suite, oracle_suite
 
 from test_data import write_tiny_archive
 
@@ -689,15 +690,26 @@ class TestCliTrainEval:
 
 
 class TestCliVerify:
-    def test_oracle_suite_passes(self, capsys):
-        assert run_cli(["verify", "--suite", "oracle"]) == 0
-        out = capsys.readouterr().out
-        assert "oracle/within_class_vs_all_pairs" in out
-        # checks added later come last, so they draw no number an earlier
-        # check would have drawn
-        checks = [line.split()[0] for line in out.splitlines() if line.startswith("oracle/")]
-        assert checks[-2:] == ["oracle/conv2d_input_grad_vs_loops", "oracle/batch_norm_vs_loops"]
-        assert "FAIL" not in out
+    def test_suites_pass_with_pinned_check_names(self):
+        # every check but the full-network one, which run_suites appends to
+        # the gradcheck suite; dropping or reordering a check fails here
+        results = gradcheck_suite(0) + oracle_suite(0) + invariant_suite(0)
+        assert [r.name for r in results] == [
+            "gradcheck/conv2d", "gradcheck/relu", "gradcheck/max_pool2",
+            "gradcheck/global_average_pool", "gradcheck/linear",
+            "gradcheck/batch_norm_train", "gradcheck/batch_norm_infer",
+            "gradcheck/residual_add", "gradcheck/msl_vs_logits",
+            "oracle/conv2d_vs_loops", "oracle/max_pool2_vs_loops", "oracle/linear_vs_loops",
+            "oracle/global_average_pool_vs_mean", "oracle/softmax_vs_direct",
+            "oracle/between_class_vs_direct", "oracle/within_class_vs_all_pairs",
+            "oracle/max_pool2_grad_vs_loops", "oracle/conv2d_input_grad_vs_loops",
+            "oracle/batch_norm_vs_loops",
+            "invariant/singleton_batch_reduces_to_ce", "invariant/head_averaging",
+            "invariant/permutation_invariance", "invariant/class_shift_distance",
+            "invariant/xi_forced_plateau_sequence", "invariant/lr_schedule_shape",
+            "invariant/momentum_unrolled_recurrence", "invariant/non_negative_losses",
+        ]
+        assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
 
     def test_invariants_suite_passes(self, capsys):
         assert run_cli(["verify", "--suite", "invariants"]) == 0

@@ -1,7 +1,8 @@
-"""Reverse-mode gradients of every layer op against central finite differences.
+"""Reverse-mode gradients of every layer op against central finite differences,
+and the mechanics of reverse accumulation.
 
-Points near relu/maxpool kinks are excluded by construction (inputs kept at
-least 0.1 away from zero crossings and window ties).
+The per-op checks are `msn verify`'s (`msn.verify.gradcheck_suite`), run here
+over 25 seeds; they keep their inputs away from relu and max-pool kinks.
 """
 
 import numpy as np
@@ -21,141 +22,13 @@ from msn.tensor import (
     residual_add,
     weighted_sum,
 )
-
-N_POINTS = 25
-
-
-def away_from_zero(rng, shape, margin=0.1):
-    return (rng.uniform(margin, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape))
+from msn.verify import gradcheck_suite
 
 
-def spaced_pool_input(rng, n, h, w, c):
-    """Window values separated by >= 0.2 so argmax is stable under fd steps."""
-    x = np.zeros((n, h, w, c))
-    for b in range(n):
-        for i in range(h // 2):
-            for j in range(w // 2):
-                for ch in range(c):
-                    vals = rng.permutation(4) * 0.4 + rng.uniform(-0.09, 0.09, 4)
-                    vals += rng.normal() * 2.0
-                    x[b, 2 * i, 2 * j, ch] = vals[0]
-                    x[b, 2 * i, 2 * j + 1, ch] = vals[1]
-                    x[b, 2 * i + 1, 2 * j, ch] = vals[2]
-                    x[b, 2 * i + 1, 2 * j + 1, ch] = vals[3]
-    return x
-
-
-def test_conv2d_gradients():
-    worst = 0.0
-    for seed in range(N_POINTS):
-        rng = np.random.default_rng(seed)
-        stride, pad = [(1, 0), (1, 1), (2, 1)][seed % 3]
-        x = rng.standard_normal((2, 4, 4, 2))
-        k = rng.standard_normal((3, 3, 2, 3))
-        b = rng.standard_normal(3)
-        proj = rng.standard_normal((2, (4 + 2 * pad - 3) // stride + 1,
-                                    (4 + 2 * pad - 3) // stride + 1, 3))
-        err = grad_check(
-            lambda xt, kt, bt: weighted_sum(conv2d(xt, kt, bt, stride=stride, pad=pad), proj),
-            [x, k, b])
-        worst = max(worst, err)
-    assert worst <= 1e-4
-
-
-def test_relu_gradients_away_from_kink():
-    worst = 0.0
-    for seed in range(N_POINTS):
-        rng = np.random.default_rng(seed)
-        x = away_from_zero(rng, (3, 4))
-        proj = rng.standard_normal((3, 4))
-        err = grad_check(lambda xt: weighted_sum(relu(xt), proj), [x])
-        worst = max(worst, err)
-    assert worst <= 1e-7
-
-
-def test_max_pool2_gradients_away_from_ties():
-    worst = 0.0
-    for seed in range(N_POINTS):
-        rng = np.random.default_rng(seed)
-        x = spaced_pool_input(rng, 1, 4, 4, 2)
-        proj = rng.standard_normal((1, 2, 2, 2))
-        err = grad_check(lambda xt: weighted_sum(max_pool2(xt), proj), [x])
-        worst = max(worst, err)
-    assert worst <= 1e-4
-
-
-def test_global_average_pool_gradients():
-    worst = 0.0
-    for seed in range(N_POINTS):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((2, 3, 3, 2))
-        proj = rng.standard_normal((2, 2))
-        err = grad_check(lambda xt: weighted_sum(global_average_pool(xt), proj), [x])
-        worst = max(worst, err)
-    assert worst <= 1e-4
-
-
-def test_linear_gradients():
-    worst = 0.0
-    for seed in range(N_POINTS):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((3, 4))
-        w = rng.standard_normal((4, 3))
-        b = rng.standard_normal(3)
-        proj = rng.standard_normal((3, 3))
-        err = grad_check(
-            lambda xt, wt, bt: weighted_sum(linear(xt, wt, bt), proj), [x, w, b])
-        worst = max(worst, err)
-    assert worst <= 1e-7
-
-
-def test_batch_norm_rank2_gradients():
-    worst = 0.0
-    for seed in range(N_POINTS):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((8, 3))
-        gamma = rng.uniform(0.5, 1.5, 3)
-        beta = rng.standard_normal(3)
-        rm, rv = np.zeros(3), np.ones(3)
-        proj = rng.standard_normal((8, 3))
-        err = grad_check(
-            lambda xt, gt, bt: weighted_sum(
-                batch_norm(xt, gt, bt, rm, rv, mode="train", update_stats=False), proj),
-            [x, gamma, beta])
-        worst = max(worst, err)
-    assert worst <= 1e-4
-
-
-@pytest.mark.parametrize("mode", ["train", "infer"])
-def test_batch_norm_gradients(mode):
-    worst = 0.0
-    for seed in range(N_POINTS):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((6, 2, 2, 3))
-        gamma = rng.uniform(0.5, 1.5, 3)
-        beta = rng.standard_normal(3)
-        rm = rng.standard_normal(3) * 0.1
-        rv = rng.uniform(0.5, 1.5, 3)
-        proj = rng.standard_normal((6, 2, 2, 3))
-        err = grad_check(
-            lambda xt, gt, bt: weighted_sum(
-                batch_norm(xt, gt, bt, rm, rv, mode=mode, update_stats=False), proj),
-            [x, gamma, beta])
-        worst = max(worst, err)
-    assert worst <= 1e-4
-
-
-def test_residual_add_gradients():
-    worst = 0.0
-    for seed in range(N_POINTS):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((2, 3))
-        b = rng.standard_normal((2, 3))
-        proj = rng.standard_normal((2, 3))
-        err = grad_check(
-            lambda at, bt: weighted_sum(residual_add(at, bt), proj), [a, b])
-        worst = max(worst, err)
-    assert worst <= 1e-7
+@pytest.mark.parametrize("seed", range(25))
+def test_every_op_gradient_matches_finite_differences(seed):
+    failed = [r.line() for r in gradcheck_suite(seed) if not r.passed]
+    assert not failed
 
 
 def test_reverse_accumulation_visits_shared_nodes_once():

@@ -200,21 +200,18 @@ def reference_forward(spec, p, b, x, mode):
         if spec.family == "vgg":
             for j in range(1, VGG_CONVS_PER_BLOCK[block - 1] + 1):
                 x = relu(conv2d(x, p[f"block{block}.conv{j}.kernel"],
-                                p[f"block{block}.conv{j}.bias"], stride=1, pad=1))
+                                p[f"block{block}.conv{j}.bias"], pad=1))
         elif block == 1:
-            x = conv2d(x, p["block1.conv1.kernel"], p["block1.conv1.bias"], stride=1, pad=1)
+            x = conv2d(x, p["block1.conv1.kernel"], p["block1.conv1.bias"], pad=1)
         else:
             for u in range(1, spec.depth_k + 1):
                 unit = f"block{block}.unit{u}"
                 h = relu(bn(f"{unit}.bn1", x))
-                h = conv2d(h, p[f"{unit}.conv1.kernel"], p[f"{unit}.conv1.bias"],
-                           stride=1, pad=1)
+                h = conv2d(h, p[f"{unit}.conv1.kernel"], p[f"{unit}.conv1.bias"], pad=1)
                 h = relu(bn(f"{unit}.bn2", h))
-                h = conv2d(h, p[f"{unit}.conv2.kernel"], p[f"{unit}.conv2.bias"],
-                           stride=1, pad=1)
+                h = conv2d(h, p[f"{unit}.conv2.kernel"], p[f"{unit}.conv2.bias"], pad=1)
                 if f"{unit}.proj.kernel" in p:
-                    skip = conv2d(x, p[f"{unit}.proj.kernel"], p[f"{unit}.proj.bias"],
-                                  stride=1, pad=0)
+                    skip = conv2d(x, p[f"{unit}.proj.kernel"], p[f"{unit}.proj.bias"])
                 else:
                     skip = x
                 x = residual_add(h, skip)

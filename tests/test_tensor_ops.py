@@ -54,24 +54,24 @@ class TestConv2d:
         assert out.shape == (1, 3, 3, 1)
         np.testing.assert_allclose(out.data, 9.0)
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
-    def test_matches_loop_oracle(self, rng, stride, pad):
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_matches_loop_oracle(self, rng, pad):
         x = rng.standard_normal((2, 8, 8, 3))
         k = rng.standard_normal((3, 3, 3, 4))
         b = rng.standard_normal(4)
-        out = conv2d(t64(x), t64(k), t64(b), stride=stride, pad=pad)
-        expected = oracles.conv2d_loops(x, k, b, stride=stride, pad=pad)
+        out = conv2d(t64(x), t64(k), t64(b), pad=pad)
+        expected = oracles.conv2d_loops(x, k, b, pad=pad)
         assert rel_err(out.data, expected) <= 1e-6
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 2)])
-    def test_input_grad_matches_loop_oracle(self, rng, stride, pad):
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    def test_input_grad_matches_loop_oracle(self, rng, pad):
         x = rng.standard_normal((2, 7, 6, 3))
         k = rng.standard_normal((3, 3, 3, 4))
         t = Tensor(x, requires_grad=True)
-        out = conv2d(t, t64(k), t64(rng.standard_normal(4)), stride=stride, pad=pad)
+        out = conv2d(t, t64(k), t64(rng.standard_normal(4)), pad=pad)
         g = rng.standard_normal(out.shape)
         out.backward(g)
-        expected = oracles.conv2d_input_grad_loops(x, k, g, stride=stride, pad=pad)
+        expected = oracles.conv2d_input_grad_loops(x, k, g, pad=pad)
         assert rel_err(t.grad, expected) <= 1e-12
 
     def test_channel_mismatch_names_both_shapes(self):
@@ -80,6 +80,12 @@ class TestConv2d:
         with pytest.raises(ShapeMismatchError) as exc:
             conv2d(x, k, t64(np.zeros(4)))
         assert "(1, 4, 4, 3)" in str(exc.value) and "(3, 3, 2, 4)" in str(exc.value)
+
+    def test_pad_is_keyword_only(self):
+        # perfbench's conv2d tracer reads pad from the keywords alone
+        x, k, b = t64(np.zeros((1, 4, 4, 1))), t64(np.zeros((3, 3, 1, 1))), t64(np.zeros(1))
+        with pytest.raises(TypeError):
+            conv2d(x, k, b, 1)
 
     def test_empty_output_rejected(self):
         x = t64(np.zeros((1, 2, 2, 1)))
@@ -98,49 +104,51 @@ class TestConv2d:
         assert rel_err(lhs, rhs) <= 1e-5
 
 
-def im2col_slices(x, kh, kw, stride, pad):
+def im2col_slices(x, kh, kw, pad):
     """Column matrix built one kernel offset at a time, rows (n, oh, ow),
     columns (kh, kw, ci)."""
     n, h, w, ci = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
+    oh = h + 2 * pad - kh + 1
+    ow = w + 2 * pad - kw + 1
     img = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     cols = np.empty((n, oh, ow, kh, kw, ci), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, :, i, j, :] = img[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :]
+            cols[:, :, :, i, j, :] = img[:, i:i + oh, j:j + ow, :]
     return cols.reshape(n * oh * ow, kh * kw * ci), oh, ow
 
 
+# h > w, and h < w with a single output row at k = 3, pad = 0
+CONV_SHAPES = pytest.mark.parametrize("x_shape", [(2, 7, 6, 3), (3, 3, 4, 2)], ids=["7x6", "3x4"])
+
+
 class TestIm2col:
+    @CONV_SHAPES
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("pad", [0, 1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_slice_loop_exactly(self, rng, k, stride, pad, dtype):
-        # h = 7 and w = 6 give both parities of (extent + 2p - k), so with
-        # stride 2 one axis always drops its last row or column
-        x = rng.standard_normal((2, 7, 6, 3)).astype(dtype)
-        cols, oh, ow = _im2col(x, k, k, stride, pad)
-        expected, eoh, eow = im2col_slices(x, k, k, stride, pad)
+    def test_matches_slice_loop_exactly(self, rng, x_shape, k, pad, dtype):
+        x = rng.standard_normal(x_shape).astype(dtype)
+        cols, oh, ow = _im2col(x, k, k, pad)
+        expected, eoh, eow = im2col_slices(x, k, k, pad)
         assert (oh, ow) == (eoh, eow)
         assert cols.dtype == dtype and cols.flags.c_contiguous
         np.testing.assert_array_equal(cols, expected)
 
     def test_non_contiguous_input(self, rng):
         x = rng.standard_normal((2, 3, 6, 5)).transpose(0, 2, 3, 1)  # (2, 6, 5, 3)
-        cols, _, _ = _im2col(x, 3, 3, 2, 1)
-        np.testing.assert_array_equal(cols, im2col_slices(x, 3, 3, 2, 1)[0])
+        cols, _, _ = _im2col(x, 3, 3, 1)
+        np.testing.assert_array_equal(cols, im2col_slices(x, 3, 3, 1)[0])
 
 
-def conv2d_columns(x, kernel, bias, g, stride, pad):
+def conv2d_columns(x, kernel, bias, g, pad):
     """conv2d's output and its input, kernel and bias gradients for output
     gradient ``g``, by the column formulation: one GEMM against the whole
     (kh*kw*ci, co) weight matrix, its column matrix scattered back one
     column slice at a time in (i, j) order."""
     n, h, w, ci = x.shape
     kh, kw, _, co = kernel.shape
-    cols, oh, ow = im2col_slices(x, kh, kw, stride, pad)
+    cols, oh, ow = im2col_slices(x, kh, kw, pad)
     wmat = kernel.reshape(kh * kw * ci, co)
     out = (cols @ wmat + bias).reshape(n, oh, ow, co)
     g2d = g.reshape(n * oh * ow, co)
@@ -148,8 +156,7 @@ def conv2d_columns(x, kernel, bias, g, stride, pad):
     gimg = np.zeros((n, h + 2 * pad, w + 2 * pad, ci), dtype=g.dtype)
     for i in range(kh):
         for j in range(kw):
-            gimg[:, i:i + stride * oh:stride, j:j + stride * ow:stride, :] += \
-                gcols[:, :, :, i, j, :]
+            gimg[:, i:i + oh, j:j + ow, :] += gcols[:, :, :, i, j, :]
     return (out, gimg[:, pad:pad + h, pad:pad + w, :],
             (cols.T @ g2d).reshape(kernel.shape), g2d.sum(axis=0))
 
@@ -165,26 +172,26 @@ class TestConv2dColumnsBitIdentity:
     co >= 32 and few rows differ in the last bits."""
 
     @staticmethod
-    def check(rng, x_shape, k, co, stride, pad, dtype):
+    def check(rng, x_shape, k, co, pad, dtype):
         x = rng.standard_normal(x_shape).astype(dtype)
         kernel = rng.standard_normal((k, k, x_shape[3], co)).astype(dtype)
         bias = rng.standard_normal(co).astype(dtype)
         tx, tk, tb = (Tensor(a, requires_grad=True) for a in (x, kernel, bias))
-        out = conv2d(tx, tk, tb, stride=stride, pad=pad)
+        out = conv2d(tx, tk, tb, pad=pad)
         g = rng.standard_normal(out.shape).astype(dtype)
-        expected = conv2d_columns(x, kernel, bias, g, stride, pad)
+        expected = conv2d_columns(x, kernel, bias, g, pad)
         out_data = out.data
         out.backward(g)
         for got, want in zip((out_data, tx.grad, tk.grad, tb.grad), expected):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
+    @CONV_SHAPES
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("pad", [0, 1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_column_formulation_exactly(self, rng, k, stride, pad, dtype):
-        self.check(rng, (2, 7, 6, 3), k, 4, stride, pad, dtype)
+    def test_matches_column_formulation_exactly(self, rng, x_shape, k, pad, dtype):
+        self.check(rng, x_shape, k, 4, pad, dtype)
 
     # (input shape, out-channels) of every 3x3 conv whose input needs a
     # gradient in the networks of configs/blobs_small.json and
@@ -195,7 +202,7 @@ class TestConv2dColumnsBitIdentity:
         ((64, 4, 4, 16), 32), ((64, 4, 4, 32), 32),
     ])
     def test_network_layers_match_column_formulation_exactly(self, rng, x_shape, co):
-        self.check(rng, x_shape, 3, co, 1, 1, np.float32)
+        self.check(rng, x_shape, 3, co, 1, np.float32)
 
 
 class TestRelu:
@@ -345,14 +352,7 @@ class TestBatchNorm:
         np.testing.assert_array_equal(rm, 0.0)
         np.testing.assert_array_equal(rv, 1.0)
 
-    def test_rank2_input_normalizes_over_batch(self, rng):
-        x = t64(rng.standard_normal((32, 5)) * 4 + 2)
-        rm, rv = np.zeros(5), np.ones(5)
-        out = batch_norm(x, t64(np.ones(5)), t64(np.zeros(5)), rm, rv, mode="train")
-        assert np.abs(out.data.mean(axis=0)).max() <= 1e-6
-        assert np.abs(out.data.var(axis=0) - 1.0).max() <= 1e-4
-
-    @pytest.mark.parametrize("shape", [(8, 4, 4, 3), (5, 7, 7, 5), (6, 1, 1, 2), (32, 5)])
+    @pytest.mark.parametrize("shape", [(8, 4, 4, 3), (5, 7, 7, 5), (6, 1, 1, 2)])
     def test_matches_loop_oracle(self, rng, shape):
         x = rng.standard_normal(shape) * 2 + 1
         c = shape[-1]
@@ -410,7 +410,7 @@ def reduction_mismatches(rng, op, shape, dtype):
     elif op == "global_average_pool":
         pairs = {"output": (global_average_pool(Tensor(x)).data, x.mean(axis=(1, 2)))}
     else:
-        axes = tuple(range(x.ndim - 1))
+        axes = (0, 1, 2)
         gamma = rng.uniform(0.5, 1.5, c).astype(dtype)
         beta = rng.standard_normal(c).astype(dtype)
         g = rng.standard_normal(shape).astype(dtype)
@@ -458,7 +458,7 @@ class TestEinsumReductionBits:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("op,shape", [
         ("conv2d", (64, 7, 7, 5)), ("batch_norm", (64, 7, 7, 5)),
-        ("global_average_pool", (64, 7, 7, 5)), ("batch_norm", (64, 5)),
+        ("global_average_pool", (64, 7, 7, 5)),
     ])
     def test_odd_shapes(self, rng, op, shape, dtype):
         assert reduction_mismatches(rng, op, shape, dtype) == []
@@ -498,19 +498,19 @@ class TestResidualAdd:
     n=st.integers(1, 3), h=st.integers(1, 9), w=st.integers(1, 9),
     ci=st.integers(1, 3), co=st.integers(1, 3),
     kh=st.integers(1, 3), kw=st.integers(1, 3),
-    stride=st.integers(1, 2), pad=st.integers(0, 2),
+    pad=st.integers(0, 2),
 )
-def test_conv_output_shape_is_total_function_of_inputs(n, h, w, ci, co, kh, kw, stride, pad):
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
+def test_conv_output_shape_is_total_function_of_inputs(n, h, w, ci, co, kh, kw, pad):
+    oh = h + 2 * pad - kh + 1
+    ow = w + 2 * pad - kw + 1
     x = Tensor(np.zeros((n, h, w, ci)))
     k = Tensor(np.zeros((kh, kw, ci, co)))
     b = Tensor(np.zeros(co))
-    if oh < 1 or ow < 1 or h + 2 * pad < kh or w + 2 * pad < kw:
+    if oh < 1 or ow < 1:
         with pytest.raises(ShapeMismatchError):
-            conv2d(x, k, b, stride=stride, pad=pad)
+            conv2d(x, k, b, pad=pad)
     else:
-        assert conv2d(x, k, b, stride=stride, pad=pad).shape == (n, oh, ow, co)
+        assert conv2d(x, k, b, pad=pad).shape == (n, oh, ow, co)
 
 
 @settings(max_examples=40, deadline=None)
