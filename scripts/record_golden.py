@@ -5,7 +5,8 @@ Trains each run in RUNS with `msn train --seed 0` and writes the sha256 of its
 metrics.csv and final.ckpt, the CSV lines (so that a mismatch can name the
 first differing line), and the numpy, BLAS and CPU the bits were made on.
 Re-record only when a change moves the bits on purpose, and say so in
-CHANGES.md.
+CHANGES.md. Prints, for each run, whether its bits are `unchanged` or
+`changed` against the golden.json being replaced.
 """
 
 import argparse
@@ -76,8 +77,18 @@ def record(run: dict, work_dir: Path) -> dict:
             "metrics_csv": csv.decode().splitlines()}
 
 
+def compare(old: dict, new: dict) -> dict:
+    """Run name -> "unchanged" when ``old`` holds the same recorded fields for
+    it as ``new``, else "changed" (a run that ``old`` lacks counts as changed).
+    The fingerprints are not compared."""
+    before = old.get("runs", {})
+    return {name: "unchanged" if before.get(name) == fields else "changed"
+            for name, fields in new["runs"].items()}
+
+
 def main():
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.is_file() else {}
     golden = {"fingerprint": fingerprint(), "runs": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in RUNS.items():
@@ -85,6 +96,8 @@ def main():
             work_dir.mkdir()
             golden["runs"][name] = record(run, work_dir)
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+    for name, verdict in compare(old, golden).items():
+        print(f"{name}: {verdict}")
     print(f"wrote {GOLDEN}")
 
 

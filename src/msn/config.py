@@ -256,7 +256,7 @@ def load_datasets(config: RunConfig):
         train, test = (dataclasses.replace(ds, images=D.global_contrast_normalize(ds.images))
                        for ds in (train, test))
     if dc.zca:
-        transform = D.zca_fit(train.images, eps=dc.zca_eps)
+        transform = _build("data.zca", D.zca_fit, train.images, eps=dc.zca_eps)
         train, test = (dataclasses.replace(ds, images=D.zca_apply(transform, ds.images))
                        for ds in (train, test))
     return train, test

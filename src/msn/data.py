@@ -236,36 +236,55 @@ def global_contrast_normalize(images: np.ndarray, guard: float = 1e-8) -> np.nda
 
 @dataclass(frozen=True)
 class ZcaTransform:
-    """Whitening fitted on a training split: mean vector and symmetric matrix."""
+    """Whitening fitted on a training split, kept in low-rank form: the
+    mean vector and W = I/sqrt(eps) + basis^T diag(coef) basis, where basis
+    is (K, D) with K = min(N, D). No D x D matrix is held when N < D."""
 
     mean: np.ndarray
-    matrix: np.ndarray
+    basis: np.ndarray
+    coef: np.ndarray
+    eps: float
 
 
 def zca_fit(images: np.ndarray, eps: float = 1e-2) -> ZcaTransform:
-    """matrix = U diag(1/sqrt(l+eps)) U^T for the pixel covariance U diag(l) U^T.
+    """W = U diag(1/sqrt(l+eps)) U^T for the pixel covariance U diag(l) U^T.
 
-    Fitted from a thin SVD of the centred N x D pixels, O(N D min(N, D)):
-    the rows of Vt are the covariance eigenvectors with l = s^2/N, so
-    matrix = Vt^T diag(1/sqrt(l+eps) - 1/sqrt(eps)) Vt + I/sqrt(eps). Every
-    direction orthogonal to the centred data (at least D-N+1 of them when
-    N < D) has l = 0 and is scaled by exactly 1/sqrt(eps).
+    Fitted from the eigendecomposition of the smaller Gram matrix of the
+    centred N x D pixels C: C C^T (N x N) when N < D, else C^T C (D x D).
+    Its eigenvalues are lam = N l. The rows of basis (U_gram^T C, or
+    sqrt(lam) V^T in the D x D case) are covariance eigenvectors scaled to
+    norm sqrt(lam), so W = I/sqrt(eps) + sum_k coef_k basis_k^T basis_k with
+    coef_k = (1/r_k - 1/sqrt(eps))/lam_k for r_k = sqrt(lam_k/N + eps),
+    computed as -1/(sqrt(eps) r_k (r_k + sqrt(eps)) N), which has no
+    cancellation and stays finite at lam = 0. Every direction orthogonal to
+    the centred data (at least D-N+1 of them when N < D) is scaled by exactly
+    1/sqrt(eps).
     """
     if len(images) < 2:
         raise ValueError(f"need at least 2 samples to fit ZCA, got {len(images)}")
     flat = images.reshape(len(images), -1).astype(np.float64)
     mean = flat.mean(axis=0)
     centered = flat - mean
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    scale = 1.0 / np.sqrt(s ** 2 / len(images) + eps) - 1.0 / np.sqrt(eps)
-    matrix = (vt.T * scale) @ vt
-    matrix[np.diag_indices_from(matrix)] += 1.0 / np.sqrt(eps)
-    return ZcaTransform(mean=mean, matrix=matrix)
+    n, d = centered.shape
+    if n < d:
+        lam, u = np.linalg.eigh(centered @ centered.T)
+        basis = u.T @ centered
+    else:
+        lam, v = np.linalg.eigh(centered.T @ centered)
+        basis = np.sqrt(np.clip(lam, 0.0, None))[:, None] * v.T
+    root_eps = np.sqrt(eps)
+    r = np.sqrt(np.clip(lam, 0.0, None) / n + eps)
+    coef = -1.0 / (root_eps * r * (r + root_eps)) / n
+    return ZcaTransform(mean=mean, basis=basis, coef=coef, eps=eps)
 
 
 def zca_apply(transform: ZcaTransform, images: np.ndarray) -> np.ndarray:
+    """(x - mean) W for each flattened image x: O(M K D) for M images, with no
+    D x D product."""
     flat = images.reshape(len(images), -1).astype(np.float64)
-    out = (flat - transform.mean) @ transform.matrix
+    z = flat - transform.mean
+    low_rank = ((z @ transform.basis.T) * transform.coef) @ transform.basis
+    out = z / np.sqrt(transform.eps) + low_rank
     return out.reshape(images.shape).astype(images.dtype)
 
 

@@ -261,6 +261,9 @@ BAD_DATA = [
                  "input_shape", id="data.blobs.image_shape=[8,8,3]"),
     pytest.param(lambda d: d["data"]["blobs"].update(classes=4), "num_classes",
                  id="data.blobs.classes=4"),
+    pytest.param(lambda d: (d["data"].update(zca=True),
+                            d["data"]["blobs"].update(classes=1, train_per_class=1)),
+                 "data.zca: need at least 2 samples", id="data.zca-one-image"),
 ]
 
 

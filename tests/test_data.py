@@ -1,6 +1,7 @@
 """Preprocessing statistics, batching guarantees, synthetic data, and the
 fetch/load path (exercised on synthetic archives; real CIFAR-10 when present)."""
 
+import dataclasses
 import hashlib
 import io
 import os
@@ -52,16 +53,21 @@ class TestGcn:
 # ZCA whitening
 # ---------------------------------------------------------------------------
 
+def whitening_matrix(t: D.ZcaTransform) -> np.ndarray:
+    """The D x D matrix that ``t`` applies, read row by row through
+    ``zca_apply`` on the images mean + e_i."""
+    return D.zca_apply(t, t.mean + np.eye(t.mean.size))
+
+
 class TestZca:
     def test_identity_covariance_gives_near_identity(self, rng):
         x = rng.standard_normal((4000, 2, 2, 2))
-        t = D.zca_fit(x, eps=1e-2)
-        d = t.matrix.shape[0]
-        assert np.abs(t.matrix - np.eye(d)).max() <= 0.05
+        matrix = whitening_matrix(D.zca_fit(x, eps=1e-2))
+        assert np.abs(matrix - np.eye(len(matrix))).max() <= 0.05
 
     def test_matrix_is_symmetric(self, rng):
-        t = D.zca_fit(rng.random((200, 3, 3, 2)))
-        assert np.abs(t.matrix - t.matrix.T).max() <= 1e-6
+        matrix = whitening_matrix(D.zca_fit(rng.random((200, 3, 3, 2))))
+        assert np.abs(matrix - matrix.T).max() <= 1e-6
 
     def test_fitted_mean_maps_to_zero(self, rng):
         x = rng.random((100, 4, 4, 1)) + 0.5
@@ -95,13 +101,22 @@ class TestZca:
         eigvals = np.clip(eigvals, 0.0, None)
         return (eigvecs * (1.0 / np.sqrt(eigvals + eps))) @ eigvecs.T
 
-    @pytest.mark.parametrize("shape", [(40, 6, 6, 3), (300, 3, 3, 2)],
-                             ids=["rank_deficient", "full_rank"])
+    # D = 108 for 6x6x3: N = D-1 fits from the N x N Gram matrix, N = D and
+    # D+1 from the D x D one; 64 x 16x16x3 is the wide case, N << D = 768
+    @pytest.mark.parametrize("shape", [(40, 6, 6, 3), (300, 3, 3, 2), (107, 6, 6, 3),
+                                       (108, 6, 6, 3), (109, 6, 6, 3), (64, 16, 16, 3)],
+                             ids=["rank_deficient", "full_rank", "n=d-1", "n=d", "n=d+1",
+                                  "wide"])
     def test_matches_covariance_eigendecomposition(self, rng, shape):
         x = rng.random(shape)
         ref = self.covariance_eigh_matrix(x, 1e-2)
-        t = D.zca_fit(x, eps=1e-2)
-        assert np.abs(t.matrix - ref).max() <= 1e-10 * np.abs(ref).max()
+        matrix = whitening_matrix(D.zca_fit(x, eps=1e-2))
+        assert np.abs(matrix - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_holds_no_d_by_d_array_when_n_below_d(self, rng):
+        t = D.zca_fit(rng.random((20, 6, 6, 3)))
+        assert t.basis.shape == (20, 108) and t.coef.shape == (20,)
+        assert all(np.size(getattr(t, f.name)) < 108 * 108 for f in dataclasses.fields(t))
 
     def test_direction_outside_the_data_scaled_by_inverse_sqrt_eps(self, rng):
         x = rng.random((10, 4, 4, 1))
@@ -109,14 +124,14 @@ class TestZca:
         q, _ = np.linalg.qr(np.concatenate([centered.T, rng.standard_normal((16, 1))],
                                            axis=1))
         v = q[:, -1]  # orthogonal to every centred training image
-        t = D.zca_fit(x, eps=1e-2)
-        np.testing.assert_allclose(v @ t.matrix, v / np.sqrt(1e-2), rtol=0, atol=1e-12)
+        matrix = whitening_matrix(D.zca_fit(x, eps=1e-2))
+        np.testing.assert_allclose(v @ matrix, v / np.sqrt(1e-2), rtol=0, atol=1e-12)
 
     def test_identical_images_give_scaled_identity(self, rng):
         x = np.repeat(rng.random((1, 2, 3, 2)), 2, axis=0)
-        t = D.zca_fit(x, eps=1e-2)
-        assert np.isfinite(t.matrix).all()
-        np.testing.assert_allclose(t.matrix, np.eye(12) / np.sqrt(1e-2), rtol=0, atol=1e-12)
+        matrix = whitening_matrix(D.zca_fit(x, eps=1e-2))
+        assert np.isfinite(matrix).all()
+        np.testing.assert_allclose(matrix, np.eye(12) / np.sqrt(1e-2), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -46,3 +46,14 @@ def test_loss_ab_runs_a_pair_on_a_short_copy_of_its_config(tmp_path, iterations)
                    for s in pair.values())
         assert pair["msl"]["within_first100"] > 0.0
         assert pair["ce"]["within_first100"] == pair["ce"]["within_last100"] == 0.0
+
+
+def test_record_golden_compare_names_the_runs_whose_bits_moved():
+    compare = runpy.run_path(str(ROOT / "scripts" / "record_golden.py"))["compare"]
+    run = {"metrics_csv_sha256": "a", "final_ckpt_sha256": "b", "metrics_csv": ["h", "1"]}
+    old = {"fingerprint": {"numpy": "1"}, "runs": {"same": run, "moved": run, "gone": run}}
+    new = {"fingerprint": {"numpy": "2"},
+           "runs": {"same": dict(run), "moved": {**run, "metrics_csv": ["h", "2"]},
+                    "added": run}}
+    assert compare(old, new) == {"same": "unchanged", "moved": "changed", "added": "changed"}
+    assert compare({}, new) == dict.fromkeys(new["runs"], "changed")
