@@ -58,8 +58,7 @@ class _Parser(argparse.ArgumentParser):
 def cmd_fetch_data(args) -> int:
     data = RunConfig.from_file(args.config).data if args.config else DataConfig()
     dest = args.out or data.resolve_data_dir()
-    status = fetch_dataset(dest, name=args.dataset, url=args.url or data.url,
-                           sha256=args.sha256 or data.sha256)
+    status = fetch_dataset(dest, url=args.url or data.url, sha256=args.sha256 or data.sha256)
     if status == "already-verified":
         print(f"already verified: {dest}")
     else:

@@ -108,10 +108,6 @@ def _sha256_of(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _stamp_path(dest: Path, name: str) -> Path:
-    return dest / f".verified-{name}"
-
-
 def _files_ok(dest: Path, expected) -> bool:
     return all((dest / rel).is_file() and (dest / rel).stat().st_size == size
                for rel, size in expected)
@@ -147,29 +143,26 @@ def _safe_extract(archive: Path, dest: Path) -> None:
         tar.extractall(dest)
 
 
-def fetch_dataset(dest, name: str = "cifar10", url: str | None = None,
-                  sha256: str | None = None, expected_files=None,
-                  retries: int = 3) -> str:
-    """Download, digest-verify, and extract a dataset archive into ``dest``.
+def fetch_dataset(dest, url: str | None = None, sha256: str | None = None,
+                  expected_files=None, retries: int = 3) -> str:
+    """Download, digest-verify, and extract the CIFAR-10 archive into ``dest``.
 
     Idempotent: when the stamp and all expected files are already in place
     the network is never touched. Returns "already-verified" or "fetched".
     """
-    if name != "cifar10" and expected_files is None:
-        raise ValueError(f"unknown dataset {name!r}")
     url = url or CIFAR10_URL
     sha256 = sha256 or CIFAR10_SHA256
     expected = tuple(expected_files) if expected_files is not None else CIFAR10_EXPECTED
 
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
-    stamp = _stamp_path(dest, name)
+    stamp = dest / ".verified-cifar10"
     if stamp.is_file() and _files_ok(dest, expected):
         recorded = json.loads(stamp.read_text())
         if recorded.get("sha256") == sha256:
             return "already-verified"
 
-    archive = dest / f"{name}.tar.gz"
+    archive = dest / "cifar10.tar.gz"
     if not archive.is_file():
         _download(url, archive, retries=retries)
     actual = _sha256_of(archive)
@@ -225,12 +218,12 @@ def load_cifar10(data_dir) -> tuple:
 # preprocessing
 # ---------------------------------------------------------------------------
 
-def global_contrast_normalize(images: np.ndarray, guard: float = 1e-8) -> np.ndarray:
+def global_contrast_normalize(images: np.ndarray) -> np.ndarray:
     """Per image: subtract the scalar mean, scale deviations to unit RMS."""
     flat = images.reshape(len(images), -1).astype(np.float64)
     centered = flat - flat.mean(axis=1, keepdims=True)
     rms = np.sqrt((centered ** 2).mean(axis=1, keepdims=True))
-    out = centered / np.maximum(rms, guard)
+    out = centered / np.maximum(rms, 1e-8)  # a constant image maps to zeros
     return out.reshape(images.shape).astype(images.dtype)
 
 

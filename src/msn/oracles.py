@@ -171,19 +171,3 @@ def within_class_brute(q, y, xi, mode="euclidean"):
         loss += max(0.0, d - xi) ** 2
     return loss
 
-
-def fd_grad(f, x, eps=1e-6):
-    """Central-difference gradient of a scalar function of one array."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(x)
-        flat[i] = orig - eps
-        fm = f(x)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2 * eps)
-    return g

@@ -180,19 +180,19 @@ def oracle_suite(seed: int = 0) -> list:
         b = rng.standard_normal(4)
         out = conv2d(Tensor(x), Tensor(k), Tensor(b), pad=pad)
         worst = np.maximum(worst, _rel(out.data, oracles.conv2d_loops(x, k, b, pad)))
-    results.append(CheckResult("oracle/conv2d_vs_loops", worst, 1e-6))
+    results.append(CheckResult("oracle/conv2d_vs_loops", worst, 1e-12))
 
     x = rng.standard_normal((2, 8, 8, 3))
     out = max_pool2(Tensor(x))
     results.append(CheckResult("oracle/max_pool2_vs_loops",
-                               _rel(out.data, oracles.max_pool2_loops(x)), 1e-6))
+                               _rel(out.data, oracles.max_pool2_loops(x)), 0.0))
 
     x = rng.standard_normal((4, 6))
     w = rng.standard_normal((6, 3))
     b = rng.standard_normal(3)
     out = linear(Tensor(x), Tensor(w), Tensor(b))
     results.append(CheckResult("oracle/linear_vs_loops",
-                               _rel(out.data, oracles.linear_loops(x, w, b)), 1e-6))
+                               _rel(out.data, oracles.linear_loops(x, w, b)), 1e-12))
 
     x = rng.standard_normal((3, 4, 4, 5))
     out = global_average_pool(Tensor(x))
@@ -226,35 +226,41 @@ def oracle_suite(seed: int = 0) -> list:
         worst = np.maximum(worst, abs(loss - brute) / max(1.0, abs(brute)))
     results.append(CheckResult("oracle/within_class_vs_all_pairs", worst, 1e-10))
 
-    # Values drawn from {0, 1, 2}, so most windows hold ties, and the first
-    # window of each image is all zeros, as after a ReLU.
-    x = rng.integers(0, 3, (2, 8, 8, 3)).astype(np.float64)
-    x[:, :2, :2, :] = 0.0
-    g = rng.standard_normal((2, 4, 4, 3))
+    # Each of the 256 windows over the values {0, 1, 2, 3} at one (image, row,
+    # column, channel): all 15 ways four entries can tie, each with every
+    # ordering of the tied groups, and an all-zero window, as after a ReLU.
+    windows = np.indices((4, 4, 4, 4)).reshape(4, 256).T.astype(np.float64)
+    x = windows.reshape(4, 4, 4, 4, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(4, 8, 8, 4)
+    g = rng.standard_normal((4, 4, 4, 4))
     t = Tensor(x, requires_grad=True)
     max_pool2(t).backward(g)
     results.append(CheckResult("oracle/max_pool2_grad_vs_loops",
                                _rel(t.grad, oracles.max_pool2_grad_loops(x, g)), 0.0))
 
+    # a non-square input, so a swap of height and width shows
     worst = 0.0
     for pad in (0, 1, 2):
-        x = rng.standard_normal((2, 6, 6, 3))
+        x = rng.standard_normal((2, 7, 6, 3))
         k = rng.standard_normal((3, 3, 3, 4))
         t = Tensor(x, requires_grad=True)
         out = conv2d(t, Tensor(k), Tensor(rng.standard_normal(4)), pad=pad)
         g = rng.standard_normal(out.shape)
         out.backward(g)
         worst = np.maximum(worst, _rel(t.grad, oracles.conv2d_input_grad_loops(x, k, g, pad)))
-    results.append(CheckResult("oracle/conv2d_input_grad_vs_loops", worst, 1e-6))
+    results.append(CheckResult("oracle/conv2d_input_grad_vs_loops", worst, 1e-12))
 
-    # offset inputs, so a normalisation that skips the mean shows
-    x = rng.standard_normal((4, 3, 3, 5)) * 2 + 1
-    gamma = rng.uniform(0.5, 1.5, 5)
-    beta = rng.standard_normal(5)
-    out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), np.zeros(5), np.ones(5),
-                     mode="train", update_stats=False)
-    results.append(CheckResult("oracle/batch_norm_vs_loops",
-                               _rel(out.data, oracles.batch_norm_loops(x, gamma, beta)), 1e-12))
+    # offset inputs, so a normalisation that skips the mean shows; the 1x1
+    # maps leave each channel one value per image
+    worst = 0.0
+    for shape in ((8, 4, 4, 3), (5, 7, 7, 5), (6, 1, 1, 2)):
+        x = rng.standard_normal(shape) * 2 + 1
+        c = shape[-1]
+        gamma = rng.uniform(0.5, 1.5, c)
+        beta = rng.standard_normal(c)
+        out = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), np.zeros(c), np.ones(c),
+                         mode="train", update_stats=False)
+        worst = np.maximum(worst, _rel(out.data, oracles.batch_norm_loops(x, gamma, beta)))
+    results.append(CheckResult("oracle/batch_norm_vs_loops", worst, 1e-12))
     return results
 
 
@@ -290,53 +296,68 @@ def invariant_suite(seed: int = 0) -> list:
             logits, y, [XiState(initial_xi=xi) for xi in xis], update_xi=False)
         mean_total = math.fsum(bd.total for bd in per_head) / count
         worst = np.maximum(worst, abs(aggregate.total - mean_total))
-        # each head's logits get msl_total's gradient for that head alone, at
-        # that head's xi, / count, bit for bit: a mismatch adds 1 >> 1e-12
+        # each head's breakdown, and its gradient / count, are msl_total's for
+        # that head alone at its xi, bit for bit: a mismatch adds 1 >> 1e-12
         loss.backward()
-        for t, xi in zip(logits, xis):
-            _, grad = msl_total(LogitBatch(q=t.data, y=y), xi=xi)
-            worst += np.count_nonzero(t.grad != grad * (1.0 / count))
+        for t, xi, bd in zip(logits, xis, per_head):
+            alone, grad = msl_total(LogitBatch(q=t.data, y=y), xi=xi)
+            worst += (bd != alone) + np.count_nonzero(t.grad != grad * (1.0 / count))
     results.append(CheckResult("invariant/head_averaging", worst, 1e-12))
 
-    q = rng.standard_normal((10, 4)) * 2
-    y = rng.integers(0, 4, 10)
-    perm = rng.permutation(10)
-    a, _ = msl_total(LogitBatch(q=q, y=y), xi=0.5)
-    b, _ = msl_total(LogitBatch(q=q[perm], y=y[perm]), xi=0.5)
-    results.append(CheckResult("invariant/permutation_invariance",
-                               abs(a.total - b.total), 1e-9))
+    # reordering a batch leaves the total (relative to max(1, |total|)) and
+    # the classes with a distance, and permutes the gradient's rows
+    worst = 0.0
+    for _ in range(60):
+        n, c = int(rng.integers(1, 17)), int(rng.integers(2, 7))
+        q = rng.uniform(-5.0, 5.0, (n, c))
+        y = rng.integers(0, c, n)
+        perm = rng.permutation(n)
+        a, grad_a = msl_total(LogitBatch(q=q, y=y), xi=0.5)
+        b, grad_b = msl_total(LogitBatch(q=q[perm], y=y[perm]), xi=0.5)
+        rel_total = abs(a.total - b.total) / max(1.0, abs(a.total))
+        worst = np.maximum(worst, np.maximum(rel_total, np.abs(grad_a[perm] - grad_b).max()))
+        worst += a.per_class_distance.keys() != b.per_class_distance.keys()
+    results.append(CheckResult("invariant/permutation_invariance", worst, 1e-12))
 
-    q = rng.standard_normal((6, 3))
-    y = np.array([0, 0, 0, 1, 1, 1])
-    base, _, dist_a = within_class_loss(LogitBatch(q=q, y=y), xi=0.5)
-    shifted = q.copy()
-    shifted[:3] += rng.standard_normal(3)
-    _, _, dist_b = within_class_loss(LogitBatch(q=shifted, y=y), xi=0.5)
-    results.append(CheckResult("invariant/class_shift_distance",
-                               abs(dist_a[0] - dist_b[0]), 1e-9))
+    y = np.array([0, 0, 0, 1, 1])
+    worst = 0.0
+    for _ in range(60):
+        q = rng.uniform(-5.0, 5.0, (5, 3))
+        _, _, dist_a = within_class_loss(LogitBatch(q=q, y=y), xi=0.5)
+        shifted = q.copy()
+        shifted[:3] += rng.uniform(-5.0, 5.0, 3)
+        _, _, dist_b = within_class_loss(LogitBatch(q=shifted, y=y), xi=0.5)
+        worst = np.maximum(worst, abs(dist_a[0] - dist_b[0]))
+    results.append(CheckResult("invariant/class_shift_distance", worst, 1e-9))
 
-    # the defaults: from 0.5, x0.9 per plateau down to the 1e-4 floor, where
-    # one more plateau leaves it
+    # the defaults but the window: from 0.5, x0.9 per plateau of 2 * window
+    # values down to the 1e-4 floor, where one more plateau leaves it. xi
+    # holds until a plateau's last value, and each decay clears the history.
     expected = [0.5]
     while expected[-1] > 1e-4:
         expected.append(max(1e-4, expected[-1] * 0.9))
     expected.append(1e-4)
-    state = XiState()
-    observed = [state.xi]
-    for _ in expected[1:]:
-        for _ in range(2 * state.window):
+    worst = 0
+    for window in (1, 5, 100):
+        state = XiState(window=window)
+        for before, after in zip(expected, expected[1:]):
+            for _ in range(2 * window - 1):
+                state.update(1.0)
+                worst += state.xi != before
             state.update(1.0)
-        observed.append(state.xi)
-    worst = sum(a != b for a, b in zip(expected, observed))
+            worst += (state.xi != after) + (len(state.history) != 0)
     results.append(CheckResult("invariant/xi_forced_plateau_sequence", worst, 0.0))
 
+    # constant within a period, and x0.9 (to 1e-12) at each period's start
     cfg = TrainConfig(iterations=1, lr_period=20)
     violations = 0.0
     prev = lr_schedule(cfg, 0)
     for i in range(1, 100):
         cur = lr_schedule(cfg, i)
-        if cur > prev or (i % 20 and cur != prev):
-            violations += 1
+        if i % 20:
+            violations += cur != prev
+        else:
+            violations += abs(cur - prev * cfg.lr_decay) > 1e-12 * prev
         prev = cur
     results.append(CheckResult("invariant/lr_schedule_shape", violations, 0.0))
 

@@ -18,7 +18,7 @@ from msn.network import build_network
 from msn.trainer import OptimizerState, TrainConfig, save_checkpoint, train
 from msn.verify import gradcheck_suite, invariant_suite, oracle_suite
 
-from test_data import write_tiny_archive
+from test_data import tar_cifar_files, write_cifar_files
 
 
 def run_cli(argv):
@@ -272,10 +272,7 @@ def cifar_dir(tmp_path, monkeypatch):
     """A full-size CIFAR-10 directory, named by MSN_DATA_DIR, of sparse files:
     every record is zero bytes, so every image is black and of class 0."""
     data_dir = tmp_path / "cifar"
-    for rel in D.CIFAR10_TRAIN_FILES + D.CIFAR10_TEST_FILES:
-        (data_dir / rel).parent.mkdir(parents=True, exist_ok=True)
-        with open(data_dir / rel, "wb") as fh:
-            fh.truncate(D.CIFAR10_FILE_BYTES)
+    write_cifar_files(data_dir)
     monkeypatch.setenv("MSN_DATA_DIR", str(data_dir))
     return data_dir
 
@@ -422,26 +419,9 @@ class TestLoadDatasets:
             load_datasets(RunConfig.from_dict(raw))
 
 
-def write_fullsize_archive(tmp_path):
-    """Canonically-sized zero-filled batches; gzip keeps this tiny on disk."""
-    import io
-    import tarfile
-
-    buf = io.BytesIO()
-    payload = bytes(D.CIFAR10_FILE_BYTES)
-    with tarfile.open(fileobj=buf, mode="w:gz") as tar:
-        for rel in D.CIFAR10_TRAIN_FILES + D.CIFAR10_TEST_FILES:
-            info = tarfile.TarInfo(rel)
-            info.size = len(payload)
-            tar.addfile(info, io.BytesIO(payload))
-    archive = tmp_path / "cifar.tar.gz"
-    archive.write_bytes(buf.getvalue())
-    return archive
-
-
 class TestCliFetch:
     def test_fetch_then_already_verified(self, tmp_path, capsys):
-        archive = write_fullsize_archive(tmp_path)
+        archive, _ = tar_cifar_files(tmp_path)
         digest = hashlib.sha256(archive.read_bytes()).hexdigest()
         dest = tmp_path / "data"
         code = run_cli(["fetch-data", "--dataset", "cifar10", "--out", str(dest),
@@ -456,7 +436,7 @@ class TestCliFetch:
         assert "already verified" in capsys.readouterr().out
 
     def test_undersized_extraction_exits_2(self, tmp_path):
-        archive, _ = write_tiny_archive(tmp_path)
+        archive, _ = tar_cifar_files(tmp_path, records_per_file=2)
         digest = hashlib.sha256(archive.read_bytes()).hexdigest()
         code = run_cli(["fetch-data", "--dataset", "cifar10",
                         "--out", str(tmp_path / "data"),
@@ -464,7 +444,7 @@ class TestCliFetch:
         assert code == 2
 
     def test_config_file_supplies_url_and_digest(self, tmp_path):
-        archive = write_fullsize_archive(tmp_path)
+        archive, _ = tar_cifar_files(tmp_path)
         digest = hashlib.sha256(archive.read_bytes()).hexdigest()
         raw = minimal_config()
         raw["data"] = {"dataset": "cifar10", "data_dir": str(tmp_path / "d"),
@@ -479,7 +459,7 @@ class TestCliFetch:
         assert run_cli(["fetch-data", "--dataset", "mnist", "--out", "x"]) == 1
 
     def test_tampered_archive_exits_2(self, tmp_path):
-        archive, expected = write_tiny_archive(tmp_path)
+        archive, _ = tar_cifar_files(tmp_path, records_per_file=2)
         digest = hashlib.sha256(archive.read_bytes()).hexdigest()
         raw = bytearray(archive.read_bytes())
         raw[10] ^= 0xFF
@@ -489,7 +469,8 @@ class TestCliFetch:
                         "--url", archive.as_uri(), "--sha256", digest])
         assert code == 2
 
-    def test_unreachable_url_exits_3(self, tmp_path):
+    def test_unreachable_url_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(D.time, "sleep", lambda seconds: None)
         code = run_cli(["fetch-data", "--dataset", "cifar10",
                         "--out", str(tmp_path / "d"),
                         "--url", (tmp_path / "missing.tar.gz").as_uri(),
@@ -713,9 +694,6 @@ class TestCliVerify:
             "invariant/momentum_unrolled_recurrence", "invariant/non_negative_losses",
         ]
         assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
-
-    def test_invariants_suite_passes(self, capsys):
-        assert run_cli(["verify", "--suite", "invariants"]) == 0
 
     def test_python_dash_m_msn_runs_the_cli(self):
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -304,26 +304,41 @@ def tiny_cifar_record(label, red=0, green=0, blue=0):
     return body
 
 
-def write_tiny_archive(tmp_path, records_per_file=2):
-    payloads = {}
+def write_cifar_files(root, records_per_file=None):
+    """The six CIFAR-10 batch files under ``root``: ``records_per_file`` red
+    records each, labelled 0, 1, 2, ... (mod 10) through the files, or by
+    default full-size sparse files of zero bytes, so every image is black and
+    of class 0. Returns each file's (relative path, size)."""
+    label = 0
     for rel in D.CIFAR10_TRAIN_FILES + D.CIFAR10_TEST_FILES:
-        payloads[rel] = b"".join(
-            tiny_cifar_record((i + len(payloads)) % 10) for i in range(records_per_file))
-    buf = io.BytesIO()
-    with tarfile.open(fileobj=buf, mode="w:gz") as tar:
-        for rel, payload in payloads.items():
-            info = tarfile.TarInfo(rel)
-            info.size = len(payload)
-            tar.addfile(info, io.BytesIO(payload))
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if records_per_file is None:
+            with open(path, "wb") as fh:
+                fh.truncate(D.CIFAR10_FILE_BYTES)
+        else:
+            path.write_bytes(b"".join(tiny_cifar_record((label + i) % 10, red=255)
+                                      for i in range(records_per_file)))
+            label += records_per_file
+    return tuple((rel, (root / rel).stat().st_size)
+                 for rel in D.CIFAR10_TRAIN_FILES + D.CIFAR10_TEST_FILES)
+
+
+def tar_cifar_files(tmp_path, records_per_file=None):
+    """``write_cifar_files``' layout as a gzipped tar, which keeps full-size
+    zero files small. Returns the archive and each file's (relative path, size)."""
+    root = tmp_path / "archived"
+    expected = write_cifar_files(root, records_per_file)
     archive = tmp_path / "source.tar.gz"
-    archive.write_bytes(buf.getvalue())
-    expected = tuple((rel, len(payload)) for rel, payload in payloads.items())
+    with tarfile.open(archive, "w:gz") as tar:
+        for rel, _ in expected:
+            tar.add(root / rel, arcname=rel)
     return archive, expected
 
 
 class TestFetch:
     def test_fetch_verify_extract_and_idempotence(self, tmp_path):
-        archive, expected = write_tiny_archive(tmp_path)
+        archive, expected = tar_cifar_files(tmp_path, records_per_file=2)
         digest = hashlib.sha256(archive.read_bytes()).hexdigest()
         dest = tmp_path / "data"
         status = D.fetch_dataset(dest, url=archive.as_uri(), sha256=digest,
@@ -336,7 +351,7 @@ class TestFetch:
         assert status == "already-verified"
 
     def test_tampered_archive_raises_digest_mismatch(self, tmp_path):
-        archive, expected = write_tiny_archive(tmp_path)
+        archive, expected = tar_cifar_files(tmp_path, records_per_file=2)
         digest = hashlib.sha256(archive.read_bytes()).hexdigest()
         raw = bytearray(archive.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
@@ -389,17 +404,6 @@ class TestFetch:
 
 
 class TestLoader:
-    def write_batches(self, tmp_path, records_per_file=2):
-        root = tmp_path / D.CIFAR10_SUBDIR
-        root.mkdir(parents=True)
-        label = 0
-        for rel in D.CIFAR10_TRAIN_FILES + D.CIFAR10_TEST_FILES:
-            body = b"".join(tiny_cifar_record((label + i) % 10, red=255)
-                            for i in range(records_per_file))
-            (tmp_path / rel).write_bytes(body)
-            label += records_per_file
-        return tmp_path
-
     def test_roundtrip_labels_and_planar_order(self, tmp_path):
         root = tmp_path / D.CIFAR10_SUBDIR
         root.mkdir(parents=True)
@@ -417,19 +421,19 @@ class TestLoader:
         np.testing.assert_array_equal(test.images, 0.0)
 
     def test_counts(self, tmp_path):
-        self.write_batches(tmp_path, records_per_file=3)
+        write_cifar_files(tmp_path, records_per_file=3)
         train, test = D.load_cifar10(tmp_path)
         assert len(train) == 15 and len(test) == 3
 
     def test_truncated_file_rejected(self, tmp_path):
-        self.write_batches(tmp_path)
+        write_cifar_files(tmp_path, records_per_file=2)
         path = tmp_path / D.CIFAR10_TRAIN_FILES[0]
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(D.DatasetFormatError):
             D.load_cifar10(tmp_path)
 
     def test_bad_label_rejected(self, tmp_path):
-        self.write_batches(tmp_path)
+        write_cifar_files(tmp_path, records_per_file=2)
         bad = bytearray(tiny_cifar_record(0))
         bad[0] = 11
         (tmp_path / D.CIFAR10_TRAIN_FILES[2]).write_bytes(bytes(bad))
@@ -437,7 +441,7 @@ class TestLoader:
             D.load_cifar10(tmp_path)
 
     def test_missing_file_rejected(self, tmp_path):
-        self.write_batches(tmp_path)
+        write_cifar_files(tmp_path, records_per_file=2)
         os.remove(tmp_path / D.CIFAR10_TEST_FILES[0])
         with pytest.raises(D.DatasetFormatError):
             D.load_cifar10(tmp_path)

@@ -1,8 +1,11 @@
-"""Reverse-mode gradients of every layer op against central finite differences,
-and the mechanics of reverse accumulation.
+"""`msn verify`'s self-checks over 25 seeds, and the mechanics of reverse
+accumulation.
 
-The per-op checks are `msn verify`'s (`msn.verify.gradcheck_suite`), run here
-over 25 seeds; they keep their inputs away from relu and max-pool kinks.
+The per-op gradient checks (`msn.verify.gradcheck_suite`) compare reverse-mode
+gradients with central finite differences on inputs kept away from relu and
+max-pool kinks. The oracle and invariant suites compare the layer ops and the
+loss with naive loops and direct formulas, and check the loss algebra, the
+threshold and learning-rate schedules and the momentum update.
 """
 
 import numpy as np
@@ -22,12 +25,19 @@ from msn.tensor import (
     residual_add,
     weighted_sum,
 )
-from msn.verify import gradcheck_suite
+from msn.verify import gradcheck_suite, invariant_suite, oracle_suite
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_every_op_gradient_matches_finite_differences(seed):
     failed = [r.line() for r in gradcheck_suite(seed) if not r.passed]
+    assert not failed
+
+
+@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("suite", [oracle_suite, invariant_suite], ids=["oracle", "invariant"])
+def test_every_oracle_and_invariant_check_passes(suite, seed):
+    failed = [r.line() for r in suite(seed) if not r.passed]
     assert not failed
 
 

@@ -52,16 +52,6 @@ class TestLrSchedule:
         assert lr_schedule(cfg, 20_000) == pytest.approx(0.009, rel=1e-12)
         assert lr_schedule(cfg, 40_000) == pytest.approx(0.0081, rel=1e-12)
 
-    def test_piecewise_constant_with_breaks_at_period_multiples(self):
-        cfg = TrainConfig(iterations=1, lr_period=50)
-        values = [lr_schedule(cfg, i) for i in range(200)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-        for i in range(1, 200):
-            if i % 50:
-                assert values[i] == values[i - 1]
-            else:
-                assert values[i] == pytest.approx(values[i - 1] * 0.9, rel=1e-12)
-
     def test_divide_by_ten_mode(self):
         cfg = TrainConfig(iterations=1, lr_decay=0.1, lr_period=10)
         assert lr_schedule(cfg, 10) == pytest.approx(0.001, rel=1e-12)
@@ -95,20 +85,6 @@ class TestSgdMomentum:
         sgd_momentum_step(params, opt, lr=lr, momentum=0.9)
         expected = w0 - lr * g1 - lr * (0.9 * g1 + g2)
         assert params["w"].data[0] == pytest.approx(expected, abs=0)
-
-    def test_multi_step_closed_form(self, rng):
-        momentum, lr = 0.9, 0.01
-        grads = rng.standard_normal(10)
-        params = self.make_param([0.0])
-        opt = OptimizerState.zeros_like(params)
-        for g in grads:
-            params["w"].grad = np.array([g])
-            sgd_momentum_step(params, opt, lr=lr, momentum=momentum)
-        v, w = 0.0, 0.0
-        for g in grads:
-            v = momentum * v - lr * g
-            w = w + v
-        assert abs(params["w"].data[0] - w) <= 1e-12
 
     def test_non_finite_gradient_fails_fast(self):
         params = self.make_param([1.0])
