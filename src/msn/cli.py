@@ -98,7 +98,7 @@ def cmd_eval(args) -> int:
     config = dataclasses.replace(config, data=data)
     state, _, _ = load_checkpoint(ckpt_path, config.network,
                                   xi_factory=config.train.xi_factory)
-    _, test_ds = load_datasets(config)
+    _, test_ds = load_datasets(config, test_only=True)
     print(f"test_error={evaluate(state, test_ds):.6f}")
     return EXIT_OK
 

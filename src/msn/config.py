@@ -212,14 +212,16 @@ class RunConfig:
 # dataset assembly
 # ---------------------------------------------------------------------------
 
-def load_datasets(config: RunConfig):
+def load_datasets(config: RunConfig, *, test_only: bool = False):
     """Materialize (train, test) per the data section, fully preprocessed.
 
     Blobs derive from the training seed so that loss-mode A/B runs at one seed
     share the exact dataset. CIFAR-10 is read from the resolved data dir and
     must already be fetched. The images must fit the network's input shape
     and class count. GCN and ZCA (fit on the training split) apply here;
-    flips happen at batch time inside the trainer.
+    flips happen at batch time inside the trainer. With ``test_only`` the
+    training split is still built to fit ZCA on, but only the test split is
+    whitened and returned, with None in the training split's place.
     """
     dc, spec = config.data, config.network
     if dc.dataset == "blobs":
@@ -255,8 +257,9 @@ def load_datasets(config: RunConfig):
     if dc.gcn:
         train, test = (dataclasses.replace(ds, images=D.global_contrast_normalize(ds.images))
                        for ds in (train, test))
+    kept = (test,) if test_only else (train, test)
     if dc.zca:
         transform = _build("data.zca", D.zca_fit, train.images, eps=dc.zca_eps)
-        train, test = (dataclasses.replace(ds, images=D.zca_apply(transform, ds.images))
-                       for ds in (train, test))
-    return train, test
+        kept = tuple(dataclasses.replace(ds, images=D.zca_apply(transform, ds.images))
+                     for ds in kept)
+    return (None, *kept) if test_only else kept

@@ -33,6 +33,8 @@ CIFAR10_TRAIN_FILES = tuple(f"{CIFAR10_SUBDIR}/data_batch_{i}.bin" for i in rang
 CIFAR10_TEST_FILES = (f"{CIFAR10_SUBDIR}/test_batch.bin",)
 CIFAR10_EXPECTED = tuple(
     (name, CIFAR10_FILE_BYTES) for name in CIFAR10_TRAIN_FILES + CIFAR10_TEST_FILES)
+# Tries per download; after failed try k (from 0) the next waits min(2**k, 8) s.
+DOWNLOAD_ATTEMPTS = 3
 
 
 class DigestMismatchError(RuntimeError):
@@ -113,9 +115,9 @@ def _files_ok(dest: Path, expected) -> bool:
                for rel, size in expected)
 
 
-def _download(url: str, target: Path, retries: int = 3) -> None:
+def _download(url: str, target: Path) -> None:
     last = None
-    for attempt in range(retries):
+    for attempt in range(DOWNLOAD_ATTEMPTS):
         try:
             with urllib.request.urlopen(url, timeout=60) as resp, open(target, "wb") as out:
                 while True:
@@ -126,7 +128,7 @@ def _download(url: str, target: Path, retries: int = 3) -> None:
             return
         except (urllib.error.URLError, TimeoutError, ConnectionError, OSError) as exc:
             last = exc
-            if attempt + 1 < retries:
+            if attempt + 1 < DOWNLOAD_ATTEMPTS:
                 time.sleep(min(2.0 ** attempt, 8.0))
     raise DownloadError(f"could not download {url}: {last}")
 
@@ -144,7 +146,7 @@ def _safe_extract(archive: Path, dest: Path) -> None:
 
 
 def fetch_dataset(dest, url: str | None = None, sha256: str | None = None,
-                  expected_files=None, retries: int = 3) -> str:
+                  expected_files=None) -> str:
     """Download, digest-verify, and extract the CIFAR-10 archive into ``dest``.
 
     Idempotent: when the stamp and all expected files are already in place
@@ -164,7 +166,7 @@ def fetch_dataset(dest, url: str | None = None, sha256: str | None = None,
 
     archive = dest / "cifar10.tar.gz"
     if not archive.is_file():
-        _download(url, archive, retries=retries)
+        _download(url, archive)
     actual = _sha256_of(archive)
     if actual != sha256:
         archive.unlink(missing_ok=True)

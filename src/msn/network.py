@@ -58,6 +58,10 @@ VGG_CONVS_PER_BLOCK = (3, 4, 4, 4)
 RESNET_STEM_WIDTH = 16
 RESNET_STAGE_WIDTHS = (16, 32, 64)
 
+# Images per trunk pass in ``predict``: the batch size both shipped configs
+# train at, which keeps a block's activations and im2col columns cache-sized.
+PREDICT_BLOCK = 64
+
 
 def _scaled(channels: int, multiplier: float) -> int:
     scaled = int(round(channels * multiplier))
@@ -325,7 +329,12 @@ def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,
 def predict(state: NetworkState, images) -> np.ndarray:
     """Class indices from the deepest head's logits (ties: lowest index).
 
-    Runs under ``no_grad``: no graph is built, so nothing outlives the call.
+    Runs the trunk over consecutive blocks of at most PREDICT_BLOCK images,
+    under ``no_grad``: no graph is built, so nothing outlives the call. Zero
+    images make one empty pass, which still checks their shape.
     """
     with no_grad():
-        return forward_heads(state, images, mode="infer")[-1].data.argmax(axis=1)
+        return np.concatenate([
+            forward_heads(state, images[start:start + PREDICT_BLOCK],
+                          mode="infer")[-1].data.argmax(axis=1)
+            for start in range(0, max(len(images), 1), PREDICT_BLOCK)])

@@ -6,6 +6,9 @@ Layout conventions (fixed everywhere in this package):
 
 Training runs in float32; gradient checking requires float64 (see grad_check).
 
+Per-channel arithmetic runs on (N*H, W*C) rows (``_rows``): broadcasting a
+(C,) vector over NHWC gives numpy an inner loop only C floats long.
+
 Ops record their inputs and a backward closure only when the result needs a
 gradient; inside ``no_grad()`` none does, so a forward pass builds no graph. A
 graph can be backpropagated once: ``Tensor.backward`` releases it as it goes.
@@ -170,6 +173,15 @@ def _with_backward(out: Tensor, backward: Callable[[], None]) -> Tensor:
 # layer operations
 # ---------------------------------------------------------------------------
 
+def _rows(a: np.ndarray, *per_channel: np.ndarray):
+    """``a`` (N, H, W, C) as (N*H, W*C) rows, then each (C,) vector tiled W
+    times to span a row. Each element meets the same channel entry as under
+    broadcasting, so elementwise results keep their bits. The rows are a view
+    of a contiguous ``a``; write only to buffers the caller made."""
+    n, h, w, c = a.shape
+    return (a.reshape(n * h, w * c), *(np.tile(v, w) for v in per_channel))
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, pad: int):
     n, h, w, ci = x.shape
     oh = h + 2 * pad - kh + 1
@@ -219,9 +231,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
 
     cols, oh, ow = _im2col(x.data, kh, kw, pad)
     wmat = kernel.data.reshape(kh * kw * ci, co)
-    out2d = cols @ wmat
-    out2d += bias.data
-    out = _result(out2d.reshape(n, oh, ow, co), (x, kernel, bias), "conv2d")
+    y = (cols @ wmat).reshape(n, oh, ow, co)
+    y_rows, bias_row = _rows(y, bias.data)
+    y_rows += bias_row
+    out = _result(y, (x, kernel, bias), "conv2d")
 
     def _bw():
         g2d = out.grad.reshape(n * oh * ow, co)
@@ -347,19 +360,25 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     if mode == "train":
         mu = np.einsum('nhwc->c', x.data) / m
-        d = x.data - mu
-        var = np.einsum('nhwc->c', d * d) / m  # numpy's two-pass biased variance
+    else:
+        mu = running_mean.astype(x.data.dtype, copy=False)
+    x_rows, mu_row = _rows(x.data, mu)
+    # x - mu in a fresh buffer, normalised in place once the variance is known
+    xhat = (x_rows - mu_row).reshape(x.shape)
+    if mode == "train":
+        var = np.einsum('nhwc->c', xhat * xhat) / m  # numpy's two-pass biased variance
         if update_stats:
             running_mean[:] = momentum * running_mean + (1.0 - momentum) * mu
             running_var[:] = momentum * running_var + (1.0 - momentum) * var
     else:
-        mu = running_mean.astype(x.data.dtype, copy=False)
         var = running_var.astype(x.data.dtype, copy=False)
-        d = x.data - mu
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = d * inv_std
-    out = _result(gamma.data * xhat + beta.data, (x, gamma, beta), "batch_norm")
+    xhat_rows, inv_std_row, gamma_row, beta_row = _rows(xhat, inv_std, gamma.data, beta.data)
+    xhat_rows *= inv_std_row
+    y = xhat_rows * gamma_row
+    y += beta_row
+    out = _result(y.reshape(x.shape), (x, gamma, beta), "batch_norm")
 
     def _bw():
         g = out.grad
@@ -371,9 +390,16 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             accumulate_grad(gamma, gxhat_sum)
         if x.requires_grad:
             if mode == "train":
-                accumulate_grad(x, gamma.data * inv_std * (g - gsum / m - xhat * (gxhat_sum / m)))
+                g_rows, gmean_row, gxhat_mean_row, scale_row = _rows(
+                    g, gsum / m, gxhat_sum / m, gamma.data * inv_std)
+                gx = g_rows - gmean_row
+                gx -= xhat_rows * gxhat_mean_row
+                gx *= scale_row
             else:
-                accumulate_grad(x, g * gamma.data * inv_std)
+                g_rows, gamma_row, inv_std_row = _rows(g, gamma.data, inv_std)
+                gx = g_rows * gamma_row
+                gx *= inv_std_row
+            accumulate_grad(x, gx.reshape(x.shape))
 
     return _with_backward(out, _bw)
 

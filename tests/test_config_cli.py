@@ -15,7 +15,7 @@ from msn.cli import main
 from msn import data as D
 from msn.config import ConfigError, RunConfig, load_datasets
 from msn.network import build_network
-from msn.trainer import OptimizerState, TrainConfig, save_checkpoint, train
+from msn.trainer import OptimizerState, TrainConfig, evaluate, save_checkpoint, train
 from msn.verify import gradcheck_suite, invariant_suite, oracle_suite
 
 from test_data import tar_cifar_files, write_cifar_files
@@ -565,6 +565,33 @@ class TestCliTrainEval:
             assert len(printed.split("=")[1].split(".")[1]) == 6
             values.append(printed)
         assert values[0] == values[1]
+
+    def test_eval_whitens_only_the_test_split(self, tmp_path, capsys, monkeypatch):
+        raw = minimal_config()
+        raw["data"].update(gcn=True, zca=True)
+        out = tmp_path / "run"
+        assert run_cli(["train", "--config", str(write_config(tmp_path, raw)),
+                        "--out", str(out)]) == 0
+        _, want = load_datasets(RunConfig.from_file(out / "config.resolved.json"))
+        evaluated, whitened = [], []
+        zca_apply = D.zca_apply
+
+        def recording_evaluate(state, dataset):
+            evaluated.append(dataset)
+            return evaluate(state, dataset)
+
+        def recording_zca_apply(transform, images):
+            whitened.append(len(images))
+            return zca_apply(transform, images)
+
+        monkeypatch.setattr("msn.cli.evaluate", recording_evaluate)
+        monkeypatch.setattr(D, "zca_apply", recording_zca_apply)
+        assert run_cli(["eval", "--checkpoint", str(out / "final.ckpt")]) == 0
+        assert whitened == [len(want)]
+        (got,) = evaluated
+        assert got.images.dtype == want.images.dtype
+        assert got.images.tobytes() == want.images.tobytes()
+        np.testing.assert_array_equal(got.labels, want.labels)
 
     def test_eval_corrupted_checkpoint_exits_2(self, tmp_path, capsys):
         config_path = write_config(tmp_path, minimal_config())

@@ -393,14 +393,14 @@ class TestFetch:
         sleeps = []
         monkeypatch.setattr(D.time, "sleep", sleeps.append)
         with pytest.raises(D.DownloadError):
-            D._download((tmp_path / "none.tar.gz").as_uri(), tmp_path / "out.tar.gz",
-                        retries=3)
+            D._download((tmp_path / "none.tar.gz").as_uri(), tmp_path / "out.tar.gz")
         assert sleeps == [1.0, 2.0]
 
-    def test_unreachable_source_is_download_error(self, tmp_path):
+    def test_unreachable_source_is_download_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(D.time, "sleep", lambda seconds: None)
         with pytest.raises(D.DownloadError):
             D.fetch_dataset(tmp_path / "d", url=(tmp_path / "none.tar.gz").as_uri(),
-                            sha256="0" * 64, expected_files=(("x.bin", 1),), retries=1)
+                            sha256="0" * 64, expected_files=(("x.bin", 1),))
 
 
 class TestLoader:

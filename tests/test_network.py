@@ -3,11 +3,13 @@ The loss-averaging check is `msn verify`'s `invariant/head_averaging`."""
 
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from msn import network
+from msn.config import RunConfig
 from msn.losses import DISTANCE_MODES, LogitBatch, XiState, msl_total
 from msn.network import (
     ATTACHMENT_CONFIGS,
@@ -31,6 +33,9 @@ from msn.tensor import (
     relu,
     residual_add,
 )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_spec(**overrides):
@@ -467,6 +472,22 @@ class TestPredict:
         preds = predict(state, images)
         deepest = forward_heads(state, images, mode="infer")[-1].data
         np.testing.assert_array_equal(preds, deepest.argmax(axis=1))
+
+    @pytest.mark.parametrize("config", ["blobs_small", "cifar_subset"])
+    def test_blocks_agree_with_one_pass(self, rng, config):
+        # predict runs the trunk in blocks of PREDICT_BLOCK images; on
+        # blobs_small a block's logits can differ from one whole pass in the
+        # last bits (BLAS picks its GEMM kernel by row count), never its argmax
+        # on these inputs
+        spec = RunConfig.from_file(CONFIGS / f"{config}.json").network
+        state = build_network(spec, seed=0)
+        images = rng.standard_normal((300, *spec.input_shape)).astype(np.float32)
+        for n in (0, 1, 63, 64, 65, 256, 300):
+            preds = predict(state, images[:n])
+            with no_grad():
+                whole = forward_heads(state, images[:n], mode="infer")[-1].data
+            assert preds.shape == (n,) and preds.dtype == np.int64
+            np.testing.assert_array_equal(preds, whole.argmax(axis=1))
 
     def test_tie_breaks_to_lowest_index(self, rng):
         # classes 1 and 2 tie on the deepest head for every image

@@ -338,6 +338,21 @@ def reduction_mismatches(rng, op, shape, dtype):
         pairs = {"bias grad": (bias.grad, x.reshape(-1, c).sum(axis=0))}
     elif op == "global_average_pool":
         pairs = {"output": (global_average_pool(Tensor(x)).data, x.mean(axis=(1, 2)))}
+    elif op == "batch_norm.infer":
+        # no reduction in the forward pass, but the same per-channel row
+        # arithmetic as train mode
+        gamma = rng.uniform(0.5, 1.5, c).astype(dtype)
+        beta = rng.standard_normal(c).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        rm = rng.standard_normal(c).astype(dtype)
+        rv = rng.uniform(0.5, 2.0, c).astype(dtype)
+        inv_std = 1.0 / np.sqrt(rv + 1e-5)
+        tx = Tensor(x, requires_grad=True)
+        out = batch_norm(tx, Tensor(gamma), Tensor(beta), rm, rv, mode="infer")
+        out_data = out.data
+        out.backward(g)
+        pairs = {"output": (out_data, gamma * ((x - rm) * inv_std) + beta),
+                 "input grad": (tx.grad, g * gamma * inv_std)}
     else:
         axes = (0, 1, 2)
         gamma = rng.uniform(0.5, 1.5, c).astype(dtype)
@@ -369,16 +384,19 @@ class TestEinsumReductionBits:
     leading NHWC axes with np.einsum, several times faster there than
     add.reduce. Their bits equal .sum/.mean/.var's on this numpy build: an
     observed property, not a documented one, so unlike tests/test_golden.py
-    these fail rather than skip on a build where it no longer holds."""
+    these fail rather than skip on a build where it no longer holds. The
+    per-channel arithmetic around them runs on (N*H, W*C) rows; its bits
+    must equal the broadcast NHWC formulas', which holds on any build."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("config,batch", [
         ("blobs_small", 64), ("cifar_subset", 64),
-        ("cifar_subset", 256),  # the eval-cifar batch
+        ("cifar_subset", 256),  # an eval batch, run whole
     ])
     def test_shipped_network_shapes(self, monkeypatch, rng, config, batch, dtype):
         shapes = reduced_shapes(monkeypatch, config, batch)
         assert {op for op, _ in shapes} >= {"conv2d", "global_average_pool"}
+        shapes += [("batch_norm.infer", shape) for op, shape in shapes if op == "batch_norm"]
         failures = [f"{op} at {shape} in {np.dtype(dtype).name}: {', '.join(names)}"
                     for op, shape in shapes
                     if (names := reduction_mismatches(rng, op, shape, dtype))]
@@ -387,10 +405,37 @@ class TestEinsumReductionBits:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("op,shape", [
         ("conv2d", (64, 7, 7, 5)), ("batch_norm", (64, 7, 7, 5)),
-        ("global_average_pool", (64, 7, 7, 5)),
+        ("global_average_pool", (64, 7, 7, 5)), ("batch_norm.infer", (64, 7, 7, 5)),
+        # one-pixel rows (W = 1) and one row per image (H = 1)
+        *((op, shape) for shape in ((64, 7, 1, 5), (64, 1, 7, 5))
+          for op in ("conv2d", "batch_norm", "batch_norm.infer", "global_average_pool")),
     ])
     def test_odd_shapes(self, rng, op, shape, dtype):
         assert reduction_mismatches(rng, op, shape, dtype) == []
+
+    @pytest.mark.parametrize("mode", [None, "train", "infer"])
+    def test_inputs_left_unchanged(self, rng, mode):
+        # the row arithmetic works in place on buffers the op made: no input
+        # array, nor the output gradient, may change in forward or backward
+        # (mode None is conv2d, the others batch_norm)
+        def draw(*shape):
+            return rng.uniform(0.5, 1.5, shape).astype(np.float32)
+
+        x = draw(4, 6, 5, 3)
+        if mode is None:
+            arrays, g = [x, draw(3, 3, 3, 2), draw(2)], draw(4, 6, 5, 2)
+        else:
+            arrays, g = [x, draw(3), draw(3), draw(3), draw(3)], draw(*x.shape)
+        before = [a.tobytes() for a in (*arrays, g)]
+        tensors = [Tensor(a, requires_grad=True) for a in arrays[:3]]
+        if mode is None:
+            out = conv2d(*tensors, pad=1)
+        else:
+            out = batch_norm(*tensors, *arrays[3:], mode=mode, update_stats=False)
+        assert [a.tobytes() for a in (*arrays, g)] == before
+        out.backward(g)
+        assert [a.tobytes() for a in (*arrays, g)] == before
+        assert all(t.grad is not None for t in tensors)
 
     def test_float32_stays_float32(self, rng):
         # the divisors are Python ints: a float32 array divided by a numpy
