@@ -137,9 +137,12 @@ def _fields(cls, section: str, given, keys: dict, also=()) -> dict:
 
 
 def _build(section: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, its ValueError reported for ``section``."""
+    """``make(*args, **kwargs)``, its ValueError reported for ``section``. A
+    DatasetFormatError is a fault of the data files and passes through."""
     try:
         return make(*args, **kwargs)
+    except D.DatasetFormatError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -242,11 +245,9 @@ def load_datasets(config: RunConfig, *, test_only: bool = False):
             raise ConfigError(
                 f"CIFAR-10 files not found under {data_dir!r}; run "
                 f"`msn fetch-data --dataset cifar10 --out {data_dir}` first")
-        train, test = D.load_cifar10(data_dir)
-        if dc.subset is not None:
-            s = dc.subset
-            train = _build("data.subset", D.subset_per_class, train, s.classes, s.train_per_class)
-            test = _build("data.subset", D.subset_per_class, test, s.classes, s.test_per_class)
+        s = dc.subset
+        subset = None if s is None else (s.classes, s.train_per_class, s.test_per_class)
+        train, test = _build("data.subset", D.load_cifar10, data_dir, subset)
     if train.images.shape[1:] != spec.input_shape:
         raise ConfigError(f"data: image shape {train.images.shape[1:]} is not "
                           f"network.input_shape {spec.input_shape}")

@@ -16,7 +16,7 @@ import tarfile
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,8 @@ CIFAR10_EXPECTED = tuple(
     (name, CIFAR10_FILE_BYTES) for name in CIFAR10_TRAIN_FILES + CIFAR10_TEST_FILES)
 # Tries per download; after failed try k (from 0) the next waits min(2**k, 8) s.
 DOWNLOAD_ATTEMPTS = 3
+# Images per block of float64 scratch in GCN and ZCA whitening.
+ROW_BLOCK = 256
 
 
 class DigestMismatchError(RuntimeError):
@@ -185,48 +187,90 @@ def cifar10_files_present(data_dir) -> bool:
     return _files_ok(Path(data_dir), CIFAR10_EXPECTED)
 
 
-def _read_cifar_records(path: Path) -> np.ndarray:
-    """The checked uint8 records of one batch file, shape (n, RECORD_BYTES)."""
-    if not path.is_file():
-        raise DatasetFormatError(f"missing dataset file {path}")
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size == 0 or raw.size % RECORD_BYTES:
-        raise DatasetFormatError(
-            f"{path}: {raw.size} bytes is not a whole number of "
-            f"{RECORD_BYTES}-byte records")
-    records = raw.reshape(-1, RECORD_BYTES)
-    top = records[:, 0].max()
-    if top > 9:
-        raise DatasetFormatError(f"{path}: label byte {top} > 9")
+def _read_cifar_records(paths) -> np.ndarray:
+    """The checked uint8 records of the batch files ``paths``, in order, read
+    into one array of shape (n, RECORD_BYTES)."""
+    sizes = []
+    for path in paths:
+        if not path.is_file():
+            raise DatasetFormatError(f"missing dataset file {path}")
+        size = path.stat().st_size
+        if size == 0 or size % RECORD_BYTES:
+            raise DatasetFormatError(
+                f"{path}: {size} bytes is not a whole number of "
+                f"{RECORD_BYTES}-byte records")
+        sizes.append(size)
+    records = np.empty((sum(sizes) // RECORD_BYTES, RECORD_BYTES), np.uint8)
+    start = 0
+    for path, size in zip(paths, sizes):
+        part = records[start:start + size // RECORD_BYTES]
+        with open(path, "rb") as fh:
+            if fh.readinto(part.reshape(-1)) != size:
+                raise DatasetFormatError(f"{path}: shorter than its {size} bytes")
+        top = part[:, 0].max()
+        if top > 9:
+            raise DatasetFormatError(f"{path}: label byte {top} > 9")
+        start += len(part)
     return records
 
 
-def load_cifar10(data_dir) -> tuple:
+def _load_split(paths, classes, per_class) -> LabeledDataset:
+    """One split; its records stay uint8 until its one float32 conversion,
+    which follows ``subset_per_class`` when ``classes`` is given."""
+    records = _read_cifar_records(paths)
+    split = LabeledDataset(images=records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1),
+                           labels=records[:, 0].astype(np.int64), num_classes=10)
+    if classes is not None:
+        split = subset_per_class(split, classes, per_class)
+    images = split.images.astype(np.float32, order="C")
+    images /= 255.0
+    return replace(split, images=images)
+
+
+def load_cifar10(data_dir, subset=None) -> tuple:
     """Read the binary batches; returns (train, test) with pixels in [0, 1].
-    A split's records stay uint8 until its one float32 conversion."""
+
+    ``subset``, if given, is (classes, train_per_class, test_per_class): each
+    split keeps ``subset_per_class`` of its images, picked from the uint8
+    records, so only the kept images are converted."""
     data_dir = Path(data_dir)
-    splits = []
-    for files in (CIFAR10_TRAIN_FILES, CIFAR10_TEST_FILES):
-        records = np.concatenate([_read_cifar_records(data_dir / rel) for rel in files])
-        pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-        images = pixels.astype(np.float32, order="C")
-        images /= 255.0
-        splits.append(LabeledDataset(images=images, labels=records[:, 0].astype(np.int64),
-                                     num_classes=10))
-    return tuple(splits)
+    classes, *per_class = subset or (None, None, None)
+    return tuple(_load_split([data_dir / rel for rel in files], classes, n)
+                 for files, n in zip((CIFAR10_TRAIN_FILES, CIFAR10_TEST_FILES), per_class))
 
 
 # ---------------------------------------------------------------------------
 # preprocessing
 # ---------------------------------------------------------------------------
 
+def _by_row_blocks(images: np.ndarray, transform) -> np.ndarray:
+    """One output of the shape and dtype of ``images``, filled ROW_BLOCK images
+    at a time with ``transform`` of each block as a float64 (rows, pixels)
+    copy, which ``transform`` may change in place. A lone last image joins
+    the block before it: numpy multiplies a one-row matrix by gemv, which may
+    round differently from the gemm that a longer block gets."""
+    out = np.empty(images.shape, images.dtype)
+    starts = list(range(0, len(images), ROW_BLOCK))
+    if len(starts) > 1 and len(images) - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [len(images)]):
+        block = images[start:stop].astype(np.float64, order="C")
+        out[start:stop] = transform(block.reshape(stop - start, -1)).reshape(block.shape)
+    return out
+
+
 def global_contrast_normalize(images: np.ndarray) -> np.ndarray:
-    """Per image: subtract the scalar mean, scale deviations to unit RMS."""
-    flat = images.reshape(len(images), -1).astype(np.float64)
-    centered = flat - flat.mean(axis=1, keepdims=True)
-    rms = np.sqrt((centered ** 2).mean(axis=1, keepdims=True))
-    out = centered / np.maximum(rms, 1e-8)  # a constant image maps to zeros
-    return out.reshape(images.shape).astype(images.dtype)
+    """Per image: subtract the scalar mean, scale deviations to unit RMS.
+
+    Runs in blocks of ROW_BLOCK images, so beyond its output it holds about
+    two blocks of float64 scratch (the block and its squares)."""
+    def normalize(rows):
+        rows -= rows.mean(axis=1, keepdims=True)
+        rms = np.sqrt((rows ** 2).mean(axis=1, keepdims=True))
+        rows /= np.maximum(rms, 1e-8)  # a constant image maps to zeros
+        return rows
+
+    return _by_row_blocks(images, normalize)
 
 
 @dataclass(frozen=True)
@@ -257,9 +301,9 @@ def zca_fit(images: np.ndarray, eps: float = 1e-2) -> ZcaTransform:
     """
     if len(images) < 2:
         raise ValueError(f"need at least 2 samples to fit ZCA, got {len(images)}")
-    flat = images.reshape(len(images), -1).astype(np.float64)
-    mean = flat.mean(axis=0)
-    centered = flat - mean
+    centered = images.reshape(len(images), -1).astype(np.float64)
+    mean = centered.mean(axis=0)
+    centered -= mean
     n, d = centered.shape
     if n < d:
         lam, u = np.linalg.eigh(centered @ centered.T)
@@ -275,12 +319,19 @@ def zca_fit(images: np.ndarray, eps: float = 1e-2) -> ZcaTransform:
 
 def zca_apply(transform: ZcaTransform, images: np.ndarray) -> np.ndarray:
     """(x - mean) W for each flattened image x: O(M K D) for M images, with no
-    D x D product."""
-    flat = images.reshape(len(images), -1).astype(np.float64)
-    z = flat - transform.mean
-    low_rank = ((z @ transform.basis.T) * transform.coef) @ transform.basis
-    out = z / np.sqrt(transform.eps) + low_rank
-    return out.reshape(images.shape).astype(images.dtype)
+    D x D product.
+
+    Runs in blocks of ROW_BLOCK images, so beyond its output it holds about
+    two blocks of float64 scratch (the block and its low-rank term) and two
+    (block, K) products."""
+    def whiten(z):
+        z -= transform.mean
+        low_rank = ((z @ transform.basis.T) * transform.coef) @ transform.basis
+        z /= np.sqrt(transform.eps)
+        z += low_rank
+        return z
+
+    return _by_row_blocks(images, whiten)
 
 
 def hflip(images: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from msn.network import build_network
 from msn.trainer import OptimizerState, TrainConfig, evaluate, save_checkpoint, train
 from msn.verify import gradcheck_suite, invariant_suite, oracle_suite
 
-from test_data import tar_cifar_files, write_cifar_files
+from test_data import tar_cifar_files, traced_peak, write_cifar_files
 
 
 def run_cli(argv):
@@ -206,6 +206,17 @@ def subset(classes, dataset="cifar10"):
     """Mutation: train on ``dataset`` subset to ``classes``, 2 train and 1 test image each."""
     return lambda d: d["data"].update(dataset=dataset, subset={
         "classes": classes, "train_per_class": 2, "test_per_class": 1})
+
+
+def cifar_shaped_config():
+    """configs/cifar_subset.json on synthetic blobs of CIFAR shape: 1,000
+    training and 200 test images of 32x32x3."""
+    raw = shipped_config("cifar_subset.json")
+    del raw["data"]["subset"]
+    raw["data"].update(dataset="blobs", blobs={"classes": 2, "train_per_class": 500,
+                                               "test_per_class": 100,
+                                               "image_shape": [32, 32, 3]})
+    return raw
 
 
 # Each value has the wrong JSON type or is out of range for its field.
@@ -403,6 +414,22 @@ class TestLoadDatasets:
         train, test = load_datasets(cfg)
         # GCN then ZCA leaves per-image means near zero
         assert abs(train.images.reshape(len(train), -1).mean()) < 0.2
+
+    def test_cifar_shaped_load_peak(self):
+        # 14 MiB of float32 output; whole-split float64 copies in GCN and
+        # whitening took the peak to 158 MiB, ROW_BLOCK-image blocks to 83
+        (train, test), peak = traced_peak(load_datasets, RunConfig.from_dict(cifar_shaped_config()))
+        assert len(train) == 1000 and len(test) == 200
+        assert peak < 100 * 2 ** 20
+
+    def test_cifar_subset_converts_only_the_kept_images(self, cifar_dir):
+        # converting all 50,000 training images to float32 took the peak to
+        # 791 MiB; the split's uint8 records alone are 147 MiB
+        raw = shipped_config("cifar_subset.json")
+        raw["data"]["subset"]["classes"] = [0]
+        (train, test), peak = traced_peak(load_datasets, RunConfig.from_dict(raw))
+        assert len(train) == 500 and len(test) == 100
+        assert peak < 1.25 * len(D.CIFAR10_TRAIN_FILES) * D.CIFAR10_FILE_BYTES
 
     @pytest.mark.parametrize("mutate,needle", BAD_DATA)
     def test_bad_data_rejected_by_name(self, mutate, needle):

@@ -7,6 +7,7 @@ import io
 import os
 import re
 import tarfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,83 @@ class TestZca:
         matrix = whitening_matrix(D.zca_fit(x, eps=1e-2))
         assert np.isfinite(matrix).all()
         np.testing.assert_allclose(matrix, np.eye(12) / np.sqrt(1e-2), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# GCN and whitening in row blocks
+# ---------------------------------------------------------------------------
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def one_shot_gcn(images):
+    """GCN of every image at once, in float64 copies of the whole array."""
+    flat = images.reshape(len(images), -1).astype(np.float64)
+    centered = flat - flat.mean(axis=1, keepdims=True)
+    rms = np.sqrt((centered ** 2).mean(axis=1, keepdims=True))
+    out = centered / np.maximum(rms, 1e-8)
+    return out.reshape(images.shape).astype(images.dtype)
+
+
+def one_shot_zca_apply(t, images):
+    """``zca_apply`` of every image at once, in float64 copies of the whole array."""
+    flat = images.reshape(len(images), -1).astype(np.float64)
+    z = flat - t.mean
+    low_rank = ((z @ t.basis.T) * t.coef) @ t.basis
+    out = z / np.sqrt(t.eps) + low_rank
+    return out.reshape(images.shape).astype(images.dtype)
+
+
+class TestRowBlocks:
+    # CIFAR's image shape, whitened by a fit on 1,000 images as for
+    # configs/cifar_subset.json. 600 images are two full blocks and a ragged
+    # 88; 513 end in a lone image, which numpy would multiply by gemv, so it
+    # joins the block before it. The products' bytes match because OpenBLAS
+    # computes each row of these gemms the same way for any row count. That
+    # is not so for every K: after a fit on 300 or 513 images, some rows of a
+    # 256-row block differ from the one-shot product in the last bit.
+    @pytest.fixture(scope="class")
+    def transform(self):
+        return D.zca_fit(np.random.default_rng(1).random((1000, 32, 32, 3)))
+
+    @pytest.mark.parametrize("n", [513, 600])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("flipped", [False, True], ids=["contiguous", "hflip-view"])
+    def test_blocked_equals_one_shot(self, transform, n, dtype, flipped):
+        assert n > 2 * D.ROW_BLOCK
+        images = np.random.default_rng(n).random((n, 32, 32, 3)).astype(dtype)
+        if flipped:
+            images = D.hflip(images)
+        gcn = D.global_contrast_normalize(images)
+        assert gcn.dtype == dtype and gcn.tobytes() == one_shot_gcn(images).tobytes()
+        white = D.zca_apply(transform, images)
+        assert white.dtype == dtype
+        assert white.tobytes() == one_shot_zca_apply(transform, images).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("flipped", [False, True], ids=["contiguous", "hflip-view"])
+    def test_input_bytes_are_kept(self, dtype, flipped):
+        images = np.random.default_rng(0).random((600, 4, 4, 3)).astype(dtype)
+        if flipped:
+            images = D.hflip(images)
+        before = images.tobytes()
+        D.global_contrast_normalize(images)
+        D.zca_apply(D.zca_fit(images), images)
+        assert images.tobytes() == before
+
+    def test_scratch_is_a_few_blocks_beyond_the_output(self):
+        images = np.random.default_rng(0).random((600, 32, 32, 3)).astype(np.float32)
+        t = D.zca_fit(images)
+        block = (D.ROW_BLOCK + 1) * images[0].size * 8  # float64 rows
+        for fn, args in ((D.global_contrast_normalize, (images,)), (D.zca_apply, (t, images))):
+            out, peak = traced_peak(fn, *args)
+            assert peak < out.nbytes + 3 * block, fn.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +497,22 @@ class TestLoader:
         # all-zero record: black image, label 0
         assert test.labels.tolist() == [0]
         np.testing.assert_array_equal(test.images, 0.0)
+
+    def test_subset_picked_from_records_equals_subset_of_full_load(self, tmp_path):
+        rng = np.random.default_rng(0)
+        for rel in D.CIFAR10_TRAIN_FILES + D.CIFAR10_TEST_FILES:
+            records = rng.integers(0, 256, (300, D.RECORD_BYTES), dtype=np.uint8)
+            records[:, 0] %= 10
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_bytes(records.tobytes())
+        full = D.load_cifar10(tmp_path)
+        picked = D.load_cifar10(tmp_path, ([3, 7, 0], 40, 20))
+        for whole, got, per_class in zip(full, picked, (40, 20)):
+            want = D.subset_per_class(whole, [3, 7, 0], per_class)
+            assert got.images.dtype == np.float32 and got.images.flags.c_contiguous
+            assert got.images.tobytes() == want.images.tobytes()
+            np.testing.assert_array_equal(got.labels, want.labels)
+            assert got.num_classes == 3
 
     def test_counts(self, tmp_path):
         write_cifar_files(tmp_path, records_per_file=3)
