@@ -81,12 +81,17 @@ def _read_exact(fh, count: int, what: str) -> bytes:
 
 
 def read_tensors(path) -> dict:
-    """Name -> array as ``write_tensors`` wrote them. A malformed byte outside
-    the tensor values raises CheckpointError; each tensor's byte count is
-    checked against the bytes left in the file before its values are read."""
+    """Name -> array as ``write_tensors`` wrote them. A file that cannot be
+    opened, or a malformed byte outside the tensor values, raises
+    CheckpointError; each tensor's byte count is checked against the bytes left
+    in the file before its values are read."""
     path = Path(path)
     tensors: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot open checkpoint {path}: {exc.strerror}") from exc
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, 4, "magic")
         if magic != MAGIC:

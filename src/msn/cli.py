@@ -35,12 +35,9 @@ EXIT_DIVERGED = 4
 EXIT_VERIFY_FAILED = 5
 
 # Exit code of each failure, by exception type; the first matching row wins.
-# FileNotFoundError is a missing checkpoint: config and dataset files that
-# are not found raise ConfigError or DatasetFormatError.
 EXIT_CODES = (
     (ConfigError, EXIT_USAGE),
-    ((DigestMismatchError, DatasetFormatError, CheckpointError, FileNotFoundError),
-     EXIT_DIGEST),
+    ((DigestMismatchError, DatasetFormatError, CheckpointError), EXIT_DIGEST),
     (DownloadError, EXIT_NETWORK),
     (TrainingDivergedError, EXIT_DIVERGED),
 )

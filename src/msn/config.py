@@ -192,10 +192,10 @@ class RunConfig:
     @classmethod
     def from_file(cls, path, seed=None, out_dir=None, loss=None) -> "RunConfig":
         path = Path(path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
         try:
             raw = json.loads(path.read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(raw, seed=seed, out_dir=out_dir, loss=loss)

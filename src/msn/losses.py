@@ -16,7 +16,6 @@ import numpy as np
 from .tensor import check_finite
 
 ZERO_DISTANCE_GUARD = 1e-12
-DISTANCE_MODES = ("euclidean", "componentwise")
 
 
 @dataclass(frozen=True)
@@ -140,36 +139,21 @@ def _pair_indices(mu: int) -> tuple:
     return iu
 
 
-def _pairwise_distance(points: np.ndarray, mode: str):
-    """Mean pairwise distance of rows and its gradient w.r.t. each row.
-
-    ``mode`` selects the distance: "euclidean" uses the L2 norm over all
-    logit components per pair; "componentwise" sums per-component absolute
-    differences instead. Pairs closer than ZERO_DISTANCE_GUARD contribute
-    zero gradient.
-    """
+def _pairwise_distance(points: np.ndarray):
+    """Mean pairwise Euclidean distance of rows and its gradient w.r.t. each
+    row. Pairs closer than ZERO_DISTANCE_GUARD contribute zero gradient."""
     mu = points.shape[0]
     lam = pair_count(mu)
     diff = points[:, None, :] - points[None, :, :]
-    # each mode gives the (mu, mu) pair distances and the (mu, mu, k) pair
-    # gradients; the mean over pairs and its gradient are shared
-    if mode == "euclidean":
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        safe = np.where(dist < ZERO_DISTANCE_GUARD, 1.0, dist)
-        unit = diff / safe[:, :, None]
-        unit[dist < ZERO_DISTANCE_GUARD] = 0.0
-    elif mode == "componentwise":
-        dist = np.abs(diff).sum(axis=-1)
-        unit = np.sign(diff)
-    else:
-        raise ValueError(f"unknown distance mode {mode!r}")
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    safe = np.where(dist < ZERO_DISTANCE_GUARD, 1.0, dist)
+    unit = diff / safe[:, :, None]
+    unit[dist < ZERO_DISTANCE_GUARD] = 0.0
     iu = _pair_indices(mu)
     return float(dist[iu].sum() / lam), unit.sum(axis=1) / lam
 
 
-def within_class_loss(batch: LogitBatch, xi: float,
-                      distance_mode: str = "euclidean",
-                      ) -> tuple[float, np.ndarray, dict]:
+def within_class_loss(batch: LogitBatch, xi: float) -> tuple[float, np.ndarray, dict]:
     """Squared hinge on per-class mean pairwise distance exceeding xi.
 
     Sum over classes with at least two batch samples of max(0, d_j - xi)^2;
@@ -184,7 +168,7 @@ def within_class_loss(batch: LogitBatch, xi: float,
     # only the classes with at least two batch samples, in ascending order
     for j in np.flatnonzero(np.bincount(batch.y) >= 2).tolist():
         idx = np.flatnonzero(batch.y == j)
-        d, d_grad = _pairwise_distance(batch.q[idx], distance_mode)
+        d, d_grad = _pairwise_distance(batch.q[idx])
         distances[j] = d
         excess = d - xi
         if excess > 0:
@@ -193,17 +177,15 @@ def within_class_loss(batch: LogitBatch, xi: float,
     return loss, grad, distances
 
 
-def msl_total(batch: LogitBatch, xi: float, within_weight: float = 1.0,
-              distance_mode: str = "euclidean",
-              ) -> tuple[LossBreakdown, np.ndarray]:
+def msl_total(batch: LogitBatch, xi: float,
+              within_weight: float = 1.0) -> tuple[LossBreakdown, np.ndarray]:
     """Combined loss: between-class plus (optionally weighted) within-class.
 
     The weight defaults to 1 so the total is the plain sum of the two terms;
     weight 0 gives the pure cross-entropy baseline on the identical code path.
     """
     between, g_between = between_class_loss(batch)
-    within_raw, g_within, distances = within_class_loss(
-        batch, xi, distance_mode=distance_mode)
+    within_raw, g_within, distances = within_class_loss(batch, xi)
     within = within_weight * within_raw
     breakdown = LossBreakdown(
         between=between,

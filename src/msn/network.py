@@ -281,7 +281,7 @@ def forward_heads(state: NetworkState, images, mode: str = "train",
 
 def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,
                     xi_states: Sequence, within_weight: float = 1.0,
-                    distance_mode: str = "euclidean", update_xi: bool = True):
+                    update_xi: bool = True):
     """Build the scalar loss node: the mean of the heads' combined losses.
 
     Each head's logits, with the one ``labels`` vector, are scored by
@@ -299,8 +299,7 @@ def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,
     scale = 1.0 / len(logit_tensors)
     for t, xi_state in zip(logit_tensors, xi_states):
         breakdown, grad = msl_total(LogitBatch(q=t.data, y=labels), xi_state.xi,
-                                    within_weight=within_weight,
-                                    distance_mode=distance_mode)
+                                    within_weight=within_weight)
         per_head.append(breakdown)
         grads.append(grad * scale)
 

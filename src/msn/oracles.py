@@ -146,7 +146,7 @@ def between_class_direct(q, y):
     return total / n
 
 
-def class_distance_brute(q, y, j, mode="euclidean"):
+def class_distance_brute(q, y, j):
     idx = [i for i in range(len(y)) if y[i] == j]
     mu = len(idx)
     lam = mu * (mu - 1) // 2
@@ -154,20 +154,16 @@ def class_distance_brute(q, y, j, mode="euclidean"):
     for a in range(mu):
         for b in range(a + 1, mu):
             diff = q[idx[a]] - q[idx[b]]
-            if mode == "euclidean":
-                total += math.sqrt(float((diff * diff).sum()))
-            else:
-                total += float(np.abs(diff).sum())
+            total += math.sqrt(float((diff * diff).sum()))
     return total / lam
 
 
-def within_class_brute(q, y, xi, mode="euclidean"):
+def within_class_brute(q, y, xi):
     loss = 0.0
     for j in sorted(set(int(v) for v in y)):
         mu = sum(1 for v in y if v == j)
         if mu < 2:
             continue
-        d = class_distance_brute(q, y, j, mode)
+        d = class_distance_brute(q, y, j)
         loss += max(0.0, d - xi) ** 2
     return loss
-

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import LabeledDataset, class_aware_batch_indices, random_flip
-from .losses import DISTANCE_MODES, XiState
+from .losses import XiState
 from .network import NetworkSpec, NetworkState, attach_msn_loss, build_network, forward_heads, predict
 from .tensor import NonFiniteError, check_finite
 
@@ -44,9 +44,7 @@ class TrainConfig:
     eval_interval: int = 100
     batching: str = "shuffled"
     seed: int = 0
-    loss: str = "msl"  # "ce" is the cross-entropy baseline: within_weight 0
-    within_weight: float = 1.0
-    distance_mode: str = "euclidean"
+    loss: str = "msl"  # "ce" is the cross-entropy baseline: within-class weight 0
     xi_initial: float = XiState.initial_xi
     xi_decay: float = XiState.decay
     xi_window: int = XiState.window
@@ -73,15 +71,8 @@ class TrainConfig:
             raise ValueError("class-aware batching needs batch_size >= 2")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.within_weight < 0:
-            raise ValueError("within_weight must be non-negative")
         if self.loss not in ("msl", "ce"):
             raise ValueError(f"loss must be 'msl' or 'ce', got {self.loss!r}")
-        if self.loss == "ce":
-            self.within_weight = 0.0
-        if self.distance_mode not in DISTANCE_MODES:
-            raise ValueError(f"distance_mode must be one of {DISTANCE_MODES}, "
-                             f"got {self.distance_mode!r}")
         self.xi_factory()  # XiState's own range check on the xi_* fields
 
     def xi_factory(self) -> XiState:
@@ -274,8 +265,7 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
                     logits = forward_heads(state, images, mode="train")
                     loss, aggregate, _ = attach_msn_loss(
                         logits, labels, [h.xi_state for h in state.heads],
-                        within_weight=config.within_weight,
-                        distance_mode=config.distance_mode)
+                        within_weight=0.0 if config.loss == "ce" else 1.0)
                     check_finite(loss.data, "loss")
                     loss.backward()
                     sgd_momentum_step(state.params, opt_state, lr, config.momentum)

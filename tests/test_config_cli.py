@@ -1,9 +1,11 @@
 """Config schema strictness, dataset assembly, and the CLI contract
 (subcommands, outputs, exit codes)."""
 
+import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ from msn.cli import main
 from msn import data as D
 from msn.config import ConfigError, RunConfig, load_datasets
 from msn.network import build_network
-from msn.trainer import OptimizerState, TrainConfig, evaluate, save_checkpoint, train
+from msn.trainer import OptimizerState, TrainConfig, evaluate, save_checkpoint
 from msn.verify import gradcheck_suite, invariant_suite, oracle_suite
 
 from test_data import tar_cifar_files, traced_peak, write_cifar_files
@@ -106,7 +108,6 @@ BLOBS_SMALL_RESOLVED = """\
   "train": {
     "batch_size": 64,
     "batching": "class-aware",
-    "distance_mode": "euclidean",
     "eval_interval": 100,
     "iterations": 2000,
     "loss": "msl",
@@ -115,7 +116,6 @@ BLOBS_SMALL_RESOLVED = """\
     "lr_period": 20000,
     "momentum": 0.9,
     "seed": 0,
-    "within_weight": 1.0,
     "xi": {
       "decay": 0.9,
       "floor": 0.0001,
@@ -181,7 +181,6 @@ CIFAR_SUBSET_RESOLVED = """\
   "train": {
     "batch_size": 64,
     "batching": "class-aware",
-    "distance_mode": "euclidean",
     "eval_interval": 500,
     "iterations": 3000,
     "loss": "msl",
@@ -190,7 +189,6 @@ CIFAR_SUBSET_RESOLVED = """\
     "lr_period": 20000,
     "momentum": 0.9,
     "seed": 0,
-    "within_weight": 1.0,
     "xi": {
       "decay": 0.9,
       "floor": 0.0001,
@@ -228,8 +226,6 @@ BAD_VALUES = [
     pytest.param(lambda d: d["train"].update(lr="0.1"), "train.lr", id="train.lr='0.1'"),
     pytest.param(lambda d: d["train"].update(seed=0.5), "train.seed", id="train.seed=0.5"),
     pytest.param(lambda d: d["train"].update(xi=[]), "train.xi", id="train.xi=[]"),
-    pytest.param(lambda d: d["train"].update(distance_mode="manhattan"), "distance_mode",
-                 id="train.distance_mode=manhattan"),
     pytest.param(lambda d: d["train"]["xi"].update(window=0), "window",
                  id="train.xi.window=0"),
     pytest.param(lambda d: d["train"]["xi"].update(floor=-1), "floor",
@@ -301,6 +297,8 @@ class TestConfigSchema:
         (lambda d: d["train"]["xi"].update(ceiling=9), "ceiling"),
         (lambda d: d["data"].update(crop=True), "crop"),
         (lambda d: d["data"]["blobs"].update(spin=3), "spin"),
+        (lambda d: d["train"].update(within_weight=0.5), "within_weight"),
+        (lambda d: d["train"].update(distance_mode="euclidean"), "distance_mode"),
     ])
     def test_unknown_keys_rejected_by_name(self, mutate, needle):
         raw = minimal_config()
@@ -326,33 +324,19 @@ class TestConfigSchema:
         cfg = RunConfig.from_dict(raw)
         assert cfg.network.attachment == (1, 2, 3, 4)
 
-    def test_ce_train_config_has_zero_within_weight(self):
-        # RunConfig.train is the TrainConfig the run trains with
-        raw = minimal_config(loss="ce")
-        cfg = RunConfig.from_dict(raw)
-        assert cfg.train.within_weight == 0.0
-        assert RunConfig.from_dict(minimal_config()).train.within_weight == 1.0
-        raw = minimal_config(loss="hinge")
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict(raw)
-
     def test_unknown_loss_rejected_by_name(self):
         with pytest.raises(ValueError, match="loss"):
             TrainConfig(iterations=1, loss="hinge")
+        with pytest.raises(ConfigError, match="loss"):
+            RunConfig.from_dict(minimal_config(loss="hinge"))
         with pytest.raises(ConfigError, match="loss"):
             RunConfig.from_dict(minimal_config(), loss="hinge")
 
     def test_overrides(self):
         out = RunConfig.from_dict(minimal_config(), seed=5, loss="ce", out_dir="x")
         assert out.train.seed == 5
-        assert out.train.within_weight == 0.0
+        assert out.train.loss == "ce"
         assert out.out_dir == "x"
-
-    def test_msl_override_keeps_the_files_within_weight(self):
-        cfg = RunConfig.from_dict(minimal_config(loss="ce", within_weight=0.5), loss="msl")
-        assert cfg.train.loss == "msl" and cfg.train.within_weight == 0.5
-        resolved = cfg.resolved_dict()["train"]
-        assert resolved["loss"] == "msl" and resolved["within_weight"] == 0.5
 
     def test_resolved_json_reparses_to_same(self):
         cfg = RunConfig.from_dict(minimal_config())
@@ -367,6 +351,24 @@ class TestConfigSchema:
     def test_cifar_subset_resolved_json_is_pinned(self):
         path = CONFIGS / "cifar_subset.json"
         assert RunConfig.from_file(path).resolved_json() == CIFAR_SUBSET_RESOLVED
+
+    def test_readme_documents_every_config_key(self):
+        # a key counts as documented when its name, bare or behind any of its
+        # section prefixes, is a backticked span of the Configuration section
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+        spans = set(re.findall(r"`([^`]+)`", section))
+
+        def undocumented(d, path=()):
+            for key, value in d.items():
+                names = [".".join((*path, key)[i:]) for i in range(len(path) + 1)]
+                if not spans.intersection(names):
+                    yield names[0]
+                if isinstance(value, dict):
+                    yield from undocumented(value, (*path, key))
+
+        resolved = RunConfig.from_file(CONFIGS / "cifar_subset.json").resolved_dict()
+        assert list(undocumented(resolved)) == []
 
     @pytest.mark.parametrize("mutate,needle", BAD_VALUES)
     def test_bad_values_rejected_by_name(self, mutate, needle):
@@ -526,24 +528,11 @@ class TestCliTrainEval:
                         "--loss", "ce"]) == 0
         resolved = json.loads((out / "config.resolved.json").read_text())
         assert resolved["train"]["loss"] == "ce"
-        assert resolved["train"]["within_weight"] == 0.0
-
-    def test_msl_flag_trains_with_the_files_within_weight(self, tmp_path, monkeypatch):
-        config_path = write_config(tmp_path, minimal_config(loss="ce", within_weight=0.5))
-        weights = []
-
-        def recording_train(config, *args, **kwargs):
-            weights.append(config.within_weight)
-            return train(config, *args, **kwargs)
-
-        monkeypatch.setattr("msn.cli.train", recording_train)
-        out = tmp_path / "msl"
-        assert run_cli(["train", "--config", str(config_path), "--out", str(out),
-                        "--loss", "msl"]) == 0
-        assert weights == [0.5]
-        resolved = json.loads((out / "config.resolved.json").read_text())
-        assert resolved["train"]["loss"] == "msl"
-        assert resolved["train"]["within_weight"] == 0.5
+        rows = list(csv.DictReader((out / "metrics.csv").open()))
+        assert len(rows) == resolved["train"]["iterations"]
+        for row in rows:
+            assert row["loss_within"] == "0.0"
+            assert row["loss_total"] == row["loss_between"]
 
     def test_negative_seed_flag_exits_1_without_run_dir(self, tmp_path, capsys):
         config_path = write_config(tmp_path, minimal_config())
@@ -553,14 +542,28 @@ class TestCliTrainEval:
         assert not out.exists()
         assert "seed" in capsys.readouterr().err
 
-    def test_missing_config_exits_1(self, tmp_path):
-        assert run_cli(["train", "--config", str(tmp_path / "none.json")]) == 1
+    @pytest.mark.parametrize("make,reason", [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_missing_config_exits_1(self, tmp_path, capsys, make, reason):
+        config_path, out = tmp_path / "run.json", tmp_path / "out"
+        make(config_path)
+        assert run_cli(["train", "--config", str(config_path), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot read config {config_path}: {reason}"]
 
-    def test_invalid_config_key_exits_1(self, tmp_path):
+    @pytest.mark.parametrize("key", ["warmup", "within_weight", "distance_mode"])
+    def test_invalid_config_key_exits_1(self, tmp_path, capsys, key):
         raw = minimal_config()
-        raw["train"]["warmup"] = 5
-        config_path = write_config(tmp_path, raw)
-        assert run_cli(["train", "--config", str(config_path)]) == 1
+        raw["train"][key] = 5
+        out = tmp_path / "out"
+        assert run_cli(["train", "--config", str(write_config(tmp_path, raw)),
+                        "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
 
     @pytest.mark.parametrize("mutate,needle", BAD_VALUES + BAD_DATA)
     def test_bad_config_exits_1_without_run_dir(self, tmp_path, capsys, mutate, needle):
@@ -669,12 +672,18 @@ class TestCliTrainEval:
         assert run_cli(["eval", "--checkpoint", str(out / "final.ckpt")]) == 0
         assert capsys.readouterr().out.startswith("test_error=")
 
-    def test_eval_missing_checkpoint_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("make,reason", [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_eval_missing_checkpoint_exits_2(self, tmp_path, capsys, make, reason):
+        ckpt = tmp_path / "final.ckpt"
+        make(ckpt)
         code = run_cli(["eval", "--config", str(CONFIGS / "blobs_small.json"),
-                        "--checkpoint", str(tmp_path / "missing.ckpt")])
+                        "--checkpoint", str(ckpt)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "missing.ckpt" in err
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot open checkpoint {ckpt}: {reason}"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_exits_4_naming_the_iteration(self, tmp_path, capsys):

@@ -26,12 +26,12 @@ from msn.tensor import NonFiniteError, grad_check
 finite_floats = st.floats(-5.0, 5.0, allow_nan=False)
 
 
-def loss_grad_check(q, y, xi=0.5, **loss_options):
+def loss_grad_check(q, y, xi=0.5, within_weight=1.0):
     """grad_check's worst relative error for the loss of one head with logits
     ``q``, at a fixed xi."""
     xi_state = XiState(initial_xi=xi)
-    return grad_check(lambda t: attach_msn_loss([t], y, [xi_state], update_xi=False,
-                                                **loss_options)[0], [q])
+    return grad_check(lambda t: attach_msn_loss([t], y, [xi_state], within_weight,
+                                                update_xi=False)[0], [q])
 
 
 def softmax_of(q):
@@ -194,15 +194,6 @@ class TestWithinClassLoss:
         brute = oracles.within_class_brute(q, y, 0.5)
         assert abs(loss - brute) / max(1.0, abs(brute)) <= 1e-6
         assert loss_grad_check(q, y, xi=0.5) <= 1e-6
-
-    def test_componentwise_mode_matches_bruteforce_and_fd(self, rng):
-        q = rng.standard_normal((12, 4)) * 2
-        y = rng.integers(0, 4, 12)
-        loss, _, _ = within_class_loss(LogitBatch(q=q, y=y), xi=0.5,
-                                       distance_mode="componentwise")
-        brute = oracles.within_class_brute(q, y, 0.5, mode="componentwise")
-        assert abs(loss - brute) / max(1.0, abs(brute)) <= 1e-10
-        assert loss_grad_check(q, y, xi=0.5, distance_mode="componentwise") <= 1e-6
 
     def test_zero_distance_pairs_contribute_zero_gradient(self):
         q = np.array([[1.0, 2.0], [1.0, 2.0], [4.0, 6.0]])

@@ -10,7 +10,7 @@ import pytest
 
 from msn import network
 from msn.config import RunConfig
-from msn.losses import DISTANCE_MODES, LogitBatch, XiState, msl_total
+from msn.losses import LogitBatch, XiState, msl_total
 from msn.network import (
     ATTACHMENT_CONFIGS,
     VGG_CONVS_PER_BLOCK,
@@ -321,20 +321,18 @@ class TestMsnLoss:
                    for _ in range(count)]
 
     @pytest.mark.parametrize("count", [2, 3, 4])
-    @pytest.mark.parametrize("mode", DISTANCE_MODES)
-    def test_each_head_equals_msl_total_alone(self, rng, count, mode):
+    def test_each_head_equals_msl_total_alone(self, rng, count):
         # classes 3, 4 and 2 have two or more members and come unsorted;
         # class 0 has one member and class 1 none
         y = np.array([3, 4, 2, 3, 0, 2, 4, 3, 2, 4, 3])
         logits = [Tensor(rng.standard_normal((len(y), 5)) * 2, requires_grad=True)
                   for _ in range(count)]
         xi_states = [XiState(initial_xi=0.1 * (h + 1) ** 3) for h in range(count)]
-        loss, _, per_head = attach_msn_loss(logits, y, xi_states, within_weight=0.7,
-                                            distance_mode=mode)
+        loss, _, per_head = attach_msn_loss(logits, y, xi_states, within_weight=0.7)
         loss.backward()
         for t, xi_state, breakdown in zip(logits, xi_states, per_head):
             alone, alone_grad = msl_total(LogitBatch(q=t.data, y=y), xi_state.xi,
-                                          within_weight=0.7, distance_mode=mode)
+                                          within_weight=0.7)
             assert breakdown == alone
             assert list(breakdown.per_class_distance) == [2, 3, 4]
             np.testing.assert_array_equal(t.grad, alone_grad * (1.0 / count))

@@ -349,8 +349,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         dict(momentum=1.0), dict(momentum=-0.1), dict(lr=0.0), dict(batch_size=0),
         dict(iterations=-1), dict(batching="sorted"), dict(lr_decay=0.0),
-        dict(seed=-1), dict(within_weight=-1.0), dict(distance_mode="manhattan"),
-        dict(xi_window=0),
+        dict(seed=-1), dict(xi_window=0),
     ])
     def test_rejects(self, bad):
         kwargs = {"iterations": 1, **bad}
