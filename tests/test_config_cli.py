@@ -226,6 +226,8 @@ BAD_VALUES = [
     pytest.param(lambda d: d["train"].update(lr="0.1"), "train.lr", id="train.lr='0.1'"),
     pytest.param(lambda d: d["train"].update(seed=0.5), "train.seed", id="train.seed=0.5"),
     pytest.param(lambda d: d["train"].update(xi=[]), "train.xi", id="train.xi=[]"),
+    pytest.param(lambda d: d["train"].update(loss="hinge"), "train: loss",
+                 id="train.loss=hinge"),
     pytest.param(lambda d: d["train"]["xi"].update(window=0), "window",
                  id="train.xi.window=0"),
     pytest.param(lambda d: d["train"]["xi"].update(floor=-1), "floor",

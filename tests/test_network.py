@@ -321,18 +321,20 @@ class TestMsnLoss:
                    for _ in range(count)]
 
     @pytest.mark.parametrize("count", [2, 3, 4])
-    def test_each_head_equals_msl_total_alone(self, rng, count):
+    @pytest.mark.parametrize("within_weight", [0.0, 0.7])
+    def test_each_head_equals_msl_total_alone(self, rng, count, within_weight):
         # classes 3, 4 and 2 have two or more members and come unsorted;
-        # class 0 has one member and class 1 none
+        # class 0 has one member and class 1 none. Weight 0 is how a ce run
+        # trains, and it still records the per-class distances.
         y = np.array([3, 4, 2, 3, 0, 2, 4, 3, 2, 4, 3])
         logits = [Tensor(rng.standard_normal((len(y), 5)) * 2, requires_grad=True)
                   for _ in range(count)]
         xi_states = [XiState(initial_xi=0.1 * (h + 1) ** 3) for h in range(count)]
-        loss, _, per_head = attach_msn_loss(logits, y, xi_states, within_weight=0.7)
+        loss, _, per_head = attach_msn_loss(logits, y, xi_states, within_weight)
         loss.backward()
         for t, xi_state, breakdown in zip(logits, xi_states, per_head):
             alone, alone_grad = msl_total(LogitBatch(q=t.data, y=y), xi_state.xi,
-                                          within_weight=0.7)
+                                          within_weight=within_weight)
             assert breakdown == alone
             assert list(breakdown.per_class_distance) == [2, 3, 4]
             np.testing.assert_array_equal(t.grad, alone_grad * (1.0 / count))

@@ -349,7 +349,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         dict(momentum=1.0), dict(momentum=-0.1), dict(lr=0.0), dict(batch_size=0),
         dict(iterations=-1), dict(batching="sorted"), dict(lr_decay=0.0),
-        dict(seed=-1), dict(xi_window=0),
+        dict(seed=-1), dict(xi_window=0), dict(loss="hinge"), dict(lr_period=0),
+        dict(eval_interval=0),
     ])
     def test_rejects(self, bad):
         kwargs = {"iterations": 1, **bad}
