@@ -56,7 +56,8 @@ def run_pair(config_path, seed) -> dict:
     configs = {mode: RunConfig.from_file(config_path, seed=seed, loss=mode)
                for mode in ("msl", "ce")}
     train_ds, test_ds = load_datasets(configs["msl"])  # the loss does not enter
-    return {mode: summarize(train(config.train, config.network, train_ds), train_ds, test_ds)
+    return {mode: summarize(train(config.train, config.network, train_ds, flip=config.data.flip),
+                            train_ds, test_ds)
             for mode, config in configs.items()}
 
 

@@ -73,11 +73,14 @@ def cmd_train(args) -> int:
     train_ds, test_ds = load_datasets(config)
 
     out_dir = Path(config.out_dir) if config.out_dir else _new_run_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved.json").write_text(config.resolved_json())
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "config.resolved.json").write_text(config.resolved_json())
+    except OSError as exc:
+        raise ConfigError(f"cannot write run directory {out_dir}: {exc.strerror}") from exc
 
-    result = train(config.train, config.network, train_ds,
-                   eval_dataset=test_ds, csv_path=out_dir / "metrics.csv")
+    result = train(config.train, config.network, train_ds, eval_dataset=test_ds,
+                   csv_path=out_dir / "metrics.csv", flip=config.data.flip)
     save_checkpoint(result.state, result.opt_state,
                     [h.xi_state for h in result.state.heads],
                     out_dir / "final.ckpt", iteration=config.train.iterations)
@@ -93,8 +96,7 @@ def cmd_eval(args) -> int:
     config = RunConfig.from_file(config_path)
     data = dataclasses.replace(config.data, data_dir=args.data_dir or config.data.data_dir)
     config = dataclasses.replace(config, data=data)
-    state, _, _ = load_checkpoint(ckpt_path, config.network,
-                                  xi_factory=config.train.xi_factory)
+    state, _, _ = load_checkpoint(ckpt_path, config.network, xi_factory=config.train.xi.state)
     _, test_ds = load_datasets(config, test_only=True)
     print(f"test_error={evaluate(state, test_ds):.6f}")
     return EXIT_OK

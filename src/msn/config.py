@@ -1,9 +1,10 @@
 """Run configuration: strict JSON schema plus dataset assembly.
 
 A run config has four top-level sections: ``network``, ``data``, ``train``,
-and ``out_dir``. Each section is read into its dataclass, whose fields give
-the allowed keys, the required ones, the defaults and the JSON value types.
-The CLI's flags (seed, out dir, loss) replace file values as the file is read.
+and ``out_dir``. The file has the shape of RunConfig and is read into it
+recursively: each dataclass's fields give the allowed keys of its object, the
+required ones, the defaults and the JSON value types, and ``asdict`` writes it
+back. The CLI's flags (seed, out dir, loss) replace file values before the read.
 """
 
 from __future__ import annotations
@@ -108,34 +109,6 @@ def _schema(cls) -> dict:
     return schema
 
 
-def _fields(cls, section: str, given, keys: dict, also=()) -> dict:
-    """Typed values for the fields of dataclass ``cls`` from the JSON object
-    ``given``. ``keys`` maps keys to fields; keys in ``also`` are allowed too,
-    and their values are left to the caller."""
-    if type(given) is not dict:
-        raise ConfigError(f"{section}: expected an object, got {json.dumps(given, default=repr)}")
-    _check_keys(section, given, [*keys, *also])
-    values, schema = {}, _schema(cls)
-    for key, name in keys.items():
-        kind, required, nullable = schema[name]
-        value = given.get(key)
-        if key not in given:
-            if required:
-                raise ConfigError(f"{section}.{key} is required")
-        elif value is None and nullable:
-            values[name] = None
-        elif dataclasses.is_dataclass(kind):
-            values[name] = _read(kind, f"{section}.{key}", value)
-        elif kind is tuple and type(value) is list and all(type(v) is int for v in value):
-            values[name] = tuple(value)
-        elif type(value) is kind or (kind is float and type(value) is int):
-            values[name] = kind(value)
-        else:
-            raise ConfigError(f"{section}.{key}: expected {_EXPECTED[kind]}, "
-                              f"got {json.dumps(value, default=repr)}")
-    return values
-
-
 def _build(section: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``, its ValueError reported for ``section``. A
     DatasetFormatError is a fault of the data files and passes through."""
@@ -148,64 +121,74 @@ def _build(section: str, make, *args, **kwargs):
 
 
 def _read(cls, section: str, given):
-    """Dataclass ``cls`` from a JSON object whose keys are its fields."""
-    return _build(section, cls, **_fields(cls, section, given, {n: n for n in _schema(cls)}))
-
-
-# The train section is TrainConfig in another shape: the xi_* fields sit in a
-# nested "xi" block under these keys, and flip_augment is data.flip. Reading
-# and writing both use these two maps.
-_XI_KEYS = {"initial": "xi_initial", "decay": "xi_decay", "window": "xi_window",
-            "plateau_tol": "xi_plateau_tol", "floor": "xi_floor"}
-_TRAIN_FIELDS = {n: n for n in _schema(TrainConfig)
-                 if n not in _XI_KEYS.values() and n != "flip_augment"}
+    """Dataclass ``cls`` from the JSON object ``given``, whose keys are its
+    fields; a field of dataclass type is read from a nested object.
+    ``section`` is the object's dotted key in messages, "" for the config."""
+    where = section or "config"
+    if type(given) is not dict:
+        raise ConfigError(f"{where}: expected an object, got {json.dumps(given, default=repr)}")
+    schema = _schema(cls)
+    _check_keys(where, given, schema)
+    values = {}
+    for name, (kind, required, nullable) in schema.items():
+        key, value = f"{section}.{name}" if section else name, given.get(name)
+        if name not in given:
+            if required:
+                raise ConfigError(f"{key} is required")
+        elif value is None and nullable:
+            values[name] = None
+        elif dataclasses.is_dataclass(kind):
+            values[name] = _read(kind, key, value)
+        elif kind is tuple and type(value) is list and all(type(v) is int for v in value):
+            values[name] = tuple(value)
+        elif type(value) is kind or (kind is float and type(value) is int):
+            values[name] = kind(value)
+        else:
+            raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, "
+                              f"got {json.dumps(value, default=repr)}")
+    return _build(where, cls, **values)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     network: NetworkSpec
-    data: DataConfig
     train: TrainConfig
+    data: DataConfig = field(default_factory=DataConfig)
     out_dir: str | None = None
 
     @classmethod
     def from_dict(cls, d: dict, seed=None, out_dir=None, loss=None) -> "RunConfig":
         """The run ``d`` describes. ``seed``, ``out_dir`` and ``loss``, where
-        given (the CLI's overrides), replace the file's values before the
-        sections are built, so they are checked as file values are."""
-        top = _fields(cls, "config", d, {"out_dir": "out_dir"}, also=("network", "data", "train"))
-        if "network" not in d or "train" not in d:
-            raise ConfigError("config needs 'network' and 'train' sections")
-        network, train = d["network"], d["train"]
-        if type(network) is dict and type(network.get("attachment")) is str:
-            mask = _build("network.attachment", NetworkSpec.attachment_for, network["attachment"])
-            network = {**network, "attachment": list(mask)}
-        values = _fields(TrainConfig, "train", train, _TRAIN_FIELDS, also=("xi",))
-        values.update(_fields(TrainConfig, "train.xi", train.get("xi", {}), _XI_KEYS))
-        values.update({k: v for k, v in (("seed", seed), ("loss", loss)) if v is not None})
-        if out_dir is not None:
-            top["out_dir"] = out_dir
-        data = _read(DataConfig, "data", d.get("data", {}))
-        return cls(network=_read(NetworkSpec, "network", network), data=data,
-                   train=_build("train", TrainConfig, **values, flip_augment=data.flip), **top)
+        given (the CLI's overrides), replace the file's values before it is
+        read, so they are checked as file values are. A named
+        ``network.attachment`` is replaced by its list of blocks."""
+        if type(d) is dict:
+            d = dict(d)
+            if out_dir is not None:
+                d["out_dir"] = out_dir
+            overrides = {k: v for k, v in (("seed", seed), ("loss", loss)) if v is not None}
+            if type(d.get("train")) is dict:
+                d["train"] = {**d["train"], **overrides}
+            network = d.get("network")
+            if type(network) is dict and type(network.get("attachment")) is str:
+                mask = _build("network.attachment", NetworkSpec.attachment_for,
+                              network["attachment"])
+                d["network"] = {**network, "attachment": list(mask)}
+        return _read(cls, "", d)
 
     @classmethod
     def from_file(cls, path, seed=None, out_dir=None, loss=None) -> "RunConfig":
         path = Path(path)
         try:
-            raw = json.loads(path.read_text())
+            raw = json.loads(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(raw, seed=seed, out_dir=out_dir, loss=loss)
 
     def resolved_dict(self) -> dict:
-        train = vars(self.train)
-        return {"network": asdict(self.network), "data": asdict(self.data),
-                "train": {**{k: train[n] for k, n in _TRAIN_FIELDS.items()},
-                          "xi": {k: train[n] for k, n in _XI_KEYS.items()}},
-                "out_dir": self.out_dir}
+        return asdict(self)
 
     def resolved_json(self) -> str:
         return json.dumps(self.resolved_dict(), indent=2, sort_keys=True) + "\n"

@@ -97,6 +97,25 @@ class XiState:
 
 
 @dataclass(frozen=True)
+class XiConfig:
+    """The settings of each head's XiState, as the config's ``train.xi`` block
+    names them; XiState checks their ranges."""
+
+    initial: float = XiState.initial_xi
+    decay: float = XiState.decay
+    window: int = XiState.window
+    plateau_tol: float = XiState.plateau_tol
+    floor: float = XiState.floor
+
+    def __post_init__(self):
+        self.state()
+
+    def state(self) -> XiState:
+        return XiState(initial_xi=self.initial, decay=self.decay, window=self.window,
+                       plateau_tol=self.plateau_tol, floor=self.floor)
+
+
+@dataclass(frozen=True)
 class LossBreakdown:
     """between + within == total; per_class_distance maps j -> d_j (mu_j >= 2)."""
 

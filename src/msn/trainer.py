@@ -8,13 +8,13 @@ resumed run replays the exact trajectory of an uninterrupted one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from .data import LabeledDataset, class_aware_batch_indices, random_flip
-from .losses import XiState
+from .losses import XiConfig, XiState
 from .network import NetworkSpec, NetworkState, attach_msn_loss, build_network, forward_heads, predict
 from .tensor import NonFiniteError, check_finite
 
@@ -45,12 +45,7 @@ class TrainConfig:
     batching: str = "shuffled"
     seed: int = 0
     loss: str = "msl"  # "ce" is the cross-entropy baseline: within-class weight 0
-    xi_initial: float = XiState.initial_xi
-    xi_decay: float = XiState.decay
-    xi_window: int = XiState.window
-    xi_plateau_tol: float = XiState.plateau_tol
-    xi_floor: float = XiState.floor
-    flip_augment: bool = False
+    xi: XiConfig = field(default_factory=XiConfig)
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -73,12 +68,6 @@ class TrainConfig:
             raise ValueError("seed must be non-negative")
         if self.loss not in ("msl", "ce"):
             raise ValueError(f"loss must be 'msl' or 'ce', got {self.loss!r}")
-        self.xi_factory()  # XiState's own range check on the xi_* fields
-
-    def xi_factory(self) -> XiState:
-        return XiState(initial_xi=self.xi_initial, decay=self.xi_decay,
-                       window=self.xi_window, plateau_tol=self.xi_plateau_tol,
-                       floor=self.xi_floor)
 
 
 @dataclass
@@ -224,9 +213,10 @@ def load_checkpoint(path, spec: NetworkSpec, xi_factory=XiState) -> tuple:
 
 def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
           eval_dataset: LabeledDataset | None = None,
-          resume_path=None, csv_path=None) -> TrainResult:
+          resume_path=None, csv_path=None, flip: bool = False) -> TrainResult:
     """Run the full loop: batch, augment, forward, loss, backward, step, log.
 
+    With ``flip`` each image of each batch is mirrored with probability 0.5.
     With ``resume_path`` the loop continues from the checkpointed iteration on
     the identical trajectory. With ``csv_path`` the metrics stream to disk,
     flushed at evaluation intervals.
@@ -235,9 +225,9 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
         raise ValueError("training dataset is empty")
     if resume_path is not None:
         state, opt_state, start = load_checkpoint(
-            resume_path, spec, xi_factory=config.xi_factory)
+            resume_path, spec, xi_factory=config.xi.state)
     else:
-        state = build_network(spec, config.seed, xi_factory=config.xi_factory)
+        state = build_network(spec, config.seed, xi_factory=config.xi.state)
         opt_state = OptimizerState.zeros_like(state.params)
         start = 0
 
@@ -252,7 +242,7 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
             idx = batch_indices_for_iteration(dataset, config, it)
             images = dataset.images[idx]
             labels = dataset.labels[idx]
-            if config.flip_augment:
+            if flip:
                 images = random_flip(images, _rng(config.seed, _TAG_FLIP, it))
 
             xi_used = {h.attach_block: h.xi_state.xi for h in state.heads}

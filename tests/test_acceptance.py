@@ -23,6 +23,7 @@ from msn.data import (
     zca_apply,
     zca_fit,
 )
+from msn.losses import XiConfig
 from msn.network import NetworkSpec
 from msn.trainer import (
     TrainConfig,
@@ -233,7 +234,7 @@ def test_criterion_10_determinism_and_resume(tmp_path):
     def config(iterations):
         return TrainConfig(iterations=iterations, batch_size=12,
                            batching="class-aware", seed=3, eval_interval=5,
-                           xi_window=3)
+                           xi=XiConfig(window=3))
 
     for name in ("a", "b"):
         train(config(20), spec, ds, eval_dataset=test_ds,

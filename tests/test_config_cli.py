@@ -340,11 +340,26 @@ class TestConfigSchema:
         assert out.train.loss == "ce"
         assert out.out_dir == "x"
 
-    def test_resolved_json_reparses_to_same(self):
-        cfg = RunConfig.from_dict(minimal_config())
-        resolved = json.loads(cfg.resolved_json())
-        again = RunConfig.from_dict(resolved)
+    @pytest.mark.parametrize("raw", [
+        minimal_config(), shipped_config("blobs_small.json"), shipped_config("cifar_subset.json"),
+    ], ids=["minimal", "blobs_small", "cifar_subset"])
+    def test_resolved_json_reparses_to_same(self, raw):
+        cfg = RunConfig.from_dict(raw)
+        again = RunConfig.from_dict(json.loads(cfg.resolved_json()))
+        assert again == cfg
         assert again.resolved_json() == cfg.resolved_json()
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda d: d.pop("network"), "network is required"),
+        (lambda d: d.pop("train"), "train is required"),
+        (lambda d: d.update(train=[]), "train: expected an object, got []"),
+    ], ids=["no-network", "no-train", "train=[]"])
+    def test_missing_or_malformed_section_is_named(self, mutate, message):
+        raw = minimal_config()
+        mutate(raw)
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(raw)
+        assert str(exc.value) == message
 
     def test_blobs_small_resolved_json_is_pinned(self):
         path = CONFIGS / "blobs_small.json"
@@ -544,17 +559,27 @@ class TestCliTrainEval:
         assert not out.exists()
         assert "seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("make,reason", [
-        (lambda path: None, "No such file or directory"),
-        (lambda path: path.mkdir(), "Is a directory"),
-    ], ids=["missing", "directory"])
-    def test_missing_config_exits_1(self, tmp_path, capsys, make, reason):
+    @pytest.mark.parametrize("make,message", [
+        (lambda path: None, "cannot read config {}: No such file or directory"),
+        (lambda path: path.mkdir(), "cannot read config {}: Is a directory"),
+        (lambda path: path.write_bytes(b"\xff\xfe{}"), "{}: invalid JSON ('utf-8' codec "
+         "can't decode byte 0xff in position 0: invalid start byte)"),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_missing_config_exits_1(self, tmp_path, capsys, make, message):
         config_path, out = tmp_path / "run.json", tmp_path / "out"
         make(config_path)
         assert run_cli(["train", "--config", str(config_path), "--out", str(out)]) == 1
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: cannot read config {config_path}: {reason}"]
+        assert err == ["error: " + message.format(config_path)]
+
+    def test_unusable_out_dir_exits_1(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, minimal_config())
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "run"
+        assert run_cli(["train", "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write run directory {out}: Not a directory"]
 
     @pytest.mark.parametrize("key", ["warmup", "within_weight", "distance_mode"])
     def test_invalid_config_key_exits_1(self, tmp_path, capsys, key):

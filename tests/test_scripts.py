@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from msn import cli, trainer
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
@@ -46,6 +48,24 @@ def test_loss_ab_runs_a_pair_on_a_short_copy_of_its_config(tmp_path, iterations)
                    for s in pair.values())
         assert pair["msl"]["within_first100"] > 0.0
         assert pair["ce"]["within_first100"] == pair["ce"]["within_last100"] == 0.0
+
+
+@pytest.mark.parametrize("flip", [True, False])
+def test_data_flip_reaches_train_from_msn_train_and_loss_ab(tmp_path, monkeypatch, flip):
+    calls = []
+    real = trainer.random_flip
+    monkeypatch.setattr(trainer, "random_flip",
+                        lambda images, rng: calls.append(len(images)) or real(images, rng))
+    loss_ab = runpy.run_path(str(ROOT / "scripts" / "loss_ab.py"))
+    raw = json.loads(loss_ab["CONFIG"].read_text())
+    raw["train"]["iterations"] = 3
+    raw["data"]["flip"] = flip
+    (tmp_path / "flip.json").write_text(json.dumps(raw))
+    assert cli.main(["train", "--config", str(tmp_path / "flip.json"),
+                     "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == (3 if flip else 0)
+    loss_ab["run_pair"](tmp_path / "flip.json", 0)
+    assert len(calls) == (9 if flip else 0)  # and 3 batches in each loss mode
 
 
 def test_record_golden_compare_names_the_runs_whose_bits_moved():

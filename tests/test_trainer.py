@@ -6,7 +6,7 @@ import pytest
 
 from msn import checkpoint as C
 from msn.data import synthetic_blobs
-from msn.losses import XiState
+from msn.losses import XiConfig, XiState
 from msn.network import NetworkSpec, build_network, predict
 from msn.tensor import NonFiniteError, Tensor
 from msn.trainer import (
@@ -40,7 +40,7 @@ def tiny_blobs(seed=0, classes=3, per_class=20, separation=6.0):
 
 def tiny_config(**overrides):
     base = dict(iterations=12, batch_size=9, lr=0.01, eval_interval=5,
-                batching="class-aware", seed=0, xi_window=4)
+                batching="class-aware", seed=0, xi=XiConfig(window=4))
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -170,8 +170,8 @@ class TestTrainLoop:
     def test_flip_augmentation_is_deterministic(self):
         spec = tiny_spec()
         ds = tiny_blobs()
-        a = train(tiny_config(flip_augment=True), spec, ds)
-        b = train(tiny_config(flip_augment=True), spec, ds)
+        a = train(tiny_config(), spec, ds, flip=True)
+        b = train(tiny_config(), spec, ds, flip=True)
         for name in a.state.params:
             np.testing.assert_array_equal(a.state.params[name].data,
                                           b.state.params[name].data)
@@ -188,7 +188,7 @@ class TestTrainLoop:
     def test_xi_monotone_across_run(self):
         spec = tiny_spec(attachment=(1, 2))
         ds = tiny_blobs()
-        result = train(tiny_config(iterations=40, xi_window=2), spec, ds)
+        result = train(tiny_config(iterations=40, xi=XiConfig(window=2)), spec, ds)
         for block in (1, 2):
             series = [row.xi[block] for row in result.rows]
             assert all(a >= b for a, b in zip(series, series[1:]))
@@ -254,7 +254,8 @@ class TestCheckpointResume:
 def trained_checkpoint(tmp_path, attachment=(1, 2), xi_window=4):
     """A checkpoint of a short run: nonzero velocities, xi histories in use."""
     spec = tiny_spec(attachment=attachment)
-    result = train(tiny_config(iterations=7, xi_window=xi_window), spec, tiny_blobs())
+    result = train(tiny_config(iterations=7, xi=XiConfig(window=xi_window)), spec,
+                   tiny_blobs())
     path = tmp_path / "run.ckpt"
     save_checkpoint(result.state, result.opt_state,
                     [h.xi_state for h in result.state.heads], path, iteration=7)
@@ -349,10 +350,15 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         dict(momentum=1.0), dict(momentum=-0.1), dict(lr=0.0), dict(batch_size=0),
         dict(iterations=-1), dict(batching="sorted"), dict(lr_decay=0.0),
-        dict(seed=-1), dict(xi_window=0), dict(loss="hinge"), dict(lr_period=0),
+        dict(seed=-1), dict(loss="hinge"), dict(lr_period=0),
         dict(eval_interval=0),
     ])
     def test_rejects(self, bad):
         kwargs = {"iterations": 1, **bad}
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("bad", [dict(window=0), dict(decay=1.0), dict(floor=-1.0)])
+    def test_xi_rejects(self, bad):
+        with pytest.raises(ValueError):
+            XiConfig(**bad)
