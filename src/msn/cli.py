@@ -55,6 +55,10 @@ class _Parser(argparse.ArgumentParser):
 def cmd_fetch_data(args) -> int:
     data = RunConfig.from_file(args.config).data if args.config else DataConfig()
     dest = args.out or data.resolve_data_dir()
+    try:
+        Path(dest).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create data directory {dest}: {exc.strerror}") from exc
     status = fetch_dataset(dest, url=args.url or data.url, sha256=args.sha256 or data.sha256)
     if status == "already-verified":
         print(f"already verified: {dest}")
@@ -70,9 +74,12 @@ def _new_run_dir() -> Path:
 
 def cmd_train(args) -> int:
     config = RunConfig.from_file(args.config, seed=args.seed, out_dir=args.out, loss=args.loss)
+    out_dir = Path(config.out_dir) if config.out_dir else _new_run_dir()
+    for name in ("config.resolved.json", "metrics.csv", "final.ckpt"):
+        if (out_dir / name).exists():
+            raise ConfigError(f"{out_dir / name} exists: msn train does not overwrite a run")
     train_ds, test_ds = load_datasets(config)
 
-    out_dir = Path(config.out_dir) if config.out_dir else _new_run_dir()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "config.resolved.json").write_text(config.resolved_json())

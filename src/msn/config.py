@@ -35,6 +35,17 @@ def _check_keys(section: str, given: dict, allowed) -> None:
         raise ConfigError(f"unknown key(s) in {section}: {unknown}")
 
 
+def _unique_keys(path, pairs: list) -> dict:
+    """One JSON object of the file ``path``; a repeated key, of which
+    ``json.loads`` would keep the last value, is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"{path}: repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _at_least_1(config, *names) -> None:
     for name in names:
         value = getattr(config, name)
@@ -180,7 +191,8 @@ class RunConfig:
     def from_file(cls, path, seed=None, out_dir=None, loss=None) -> "RunConfig":
         path = Path(path)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(path.read_text(encoding="utf-8"),
+                             object_pairs_hook=functools.partial(_unique_keys, path))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

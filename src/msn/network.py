@@ -280,17 +280,18 @@ def forward_heads(state: NetworkState, images, mode: str = "train",
 
 
 def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,
-                    xi_states: Sequence, within_weight: float = 1.0,
-                    update_xi: bool = True):
+                    xi_states: Sequence, within_weight: float = 1.0, *,
+                    update_xi: bool = False):
     """Build the scalar loss node: the mean of the heads' combined losses.
 
-    Each head's logits, with the one ``labels`` vector, are scored by
-    ``msl_total`` at that head's threshold. Returns (loss node, aggregate
-    breakdown, per-head breakdowns). Backward seeds each head's logits with its
-    gradient scaled by 1/len(heads), from where reverse accumulation reaches the
-    whole trunk. This is the one place that advances each head's threshold with
-    its own within-class loss, unless ``update_xi`` is False.
+    Scores each head's logits and the one ``labels`` vector with ``msl_total``
+    at that head's xi, which only ``train`` advances; returns (loss node,
+    aggregate, per-head breakdowns). Backward seeds each head's logits with its
+    gradient / len(heads), from where reverse accumulation reaches the trunk.
+    ``update_xi=True`` raises; it stays while perfbench passes it (ROADMAP item 1).
     """
+    if update_xi:
+        raise ValueError("attach_msn_loss does not advance xi; train updates each head's xi")
     if not logit_tensors or len(logit_tensors) != len(xi_states):
         raise ValueError(f"need at least one head and one xi state per head, got "
                          f"{len(logit_tensors)} heads and {len(xi_states)} xi states")
@@ -312,9 +313,6 @@ def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,
         total=float(np.mean([bd.total for bd in per_head])),
         per_class_distance=mean_distances,
     )
-    if update_xi:
-        for xi_state, breakdown in zip(xi_states, per_head):
-            xi_state.update(breakdown.within)
     dtype = logit_tensors[0].data.dtype
     out = _result(np.asarray(aggregate.total, dtype=dtype), logit_tensors, "msn_loss")
 

@@ -214,7 +214,7 @@ def load_checkpoint(path, spec: NetworkSpec, xi_factory=XiState) -> tuple:
 def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
           eval_dataset: LabeledDataset | None = None,
           resume_path=None, csv_path=None, flip: bool = False) -> TrainResult:
-    """Run the full loop: batch, augment, forward, loss, backward, step, log.
+    """Run the full loop: batch, augment, forward, loss, backward, step, xi, log.
 
     With ``flip`` each image of each batch is mirrored with probability 0.5.
     With ``resume_path`` the loop continues from the checkpointed iteration on
@@ -253,7 +253,7 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
                     logits = forward_heads(state, images, mode="train")
-                    loss, aggregate, _ = attach_msn_loss(
+                    loss, aggregate, per_head = attach_msn_loss(
                         logits, labels, [h.xi_state for h in state.heads],
                         within_weight=0.0 if config.loss == "ce" else 1.0)
                     check_finite(loss.data, "loss")
@@ -261,6 +261,8 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
                     sgd_momentum_step(state.params, opt_state, lr, config.momentum)
                 except NonFiniteError as exc:
                     raise TrainingDivergedError(it, str(exc)) from exc
+            for head, breakdown in zip(state.heads, per_head):
+                head.xi_state.update(breakdown.within)
 
             train_error = float(
                 (logits[-1].data.argmax(axis=1) != labels).mean())

@@ -131,7 +131,7 @@ def gradcheck_suite(seed: int = 0) -> list:
     xi = XiState(initial_xi=0.05)
 
     def loss_of_logits(t):
-        out, _, _ = attach_msn_loss([t], labels, [xi], update_xi=False)
+        out, _, _ = attach_msn_loss([t], labels, [xi])
         return out
 
     err = grad_check(loss_of_logits, [q0])
@@ -156,7 +156,7 @@ def full_network_gradcheck(seed: int = 0) -> CheckResult:
         for name, t in zip(names, tensors):
             state.params[name] = t
         logits = forward_heads(state, images, mode="train", update_stats=False)
-        out, _, _ = attach_msn_loss(logits, labels, xi_states, update_xi=False)
+        out, _, _ = attach_msn_loss(logits, labels, xi_states)
         return out
 
     # A 1e-7 step keeps the central differences from straddling a ReLU or
@@ -293,7 +293,7 @@ def invariant_suite(seed: int = 0) -> list:
                   for _ in range(count)]
         xis = [0.1 * (i + 1) for i in range(count)]
         loss, aggregate, per_head = attach_msn_loss(
-            logits, y, [XiState(initial_xi=xi) for xi in xis], update_xi=False)
+            logits, y, [XiState(initial_xi=xi) for xi in xis])
         mean_total = math.fsum(bd.total for bd in per_head) / count
         worst = np.maximum(worst, abs(aggregate.total - mean_total))
         # each head's breakdown, and its gradient / count, are msl_total's for

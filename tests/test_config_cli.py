@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from msn import cli
 from msn.cli import main
 from msn import data as D
 from msn.config import ConfigError, RunConfig, load_datasets
@@ -515,6 +516,15 @@ class TestCliFetch:
                         "--url", archive.as_uri(), "--sha256", digest])
         assert code == 2
 
+    def test_unusable_out_dir_exits_1(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "data"
+        assert run_cli(["fetch-data", "--dataset", "cifar10", "--out", str(out),
+                        "--url", (tmp_path / "missing.tar.gz").as_uri(),
+                        "--sha256", "0" * 64]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot create data directory {out}: Not a directory"]
+
     def test_unreachable_url_exits_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(D.time, "sleep", lambda seconds: None)
         code = run_cli(["fetch-data", "--dataset", "cifar10",
@@ -580,6 +590,53 @@ class TestCliTrainEval:
         assert run_cli(["train", "--config", str(config_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: cannot write run directory {out}: Not a directory"]
+
+    def test_finished_run_is_not_overwritten(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, minimal_config())
+        out = tmp_path / "run"
+        assert run_cli(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == ["config.resolved.json", "final.ckpt", "metrics.csv"]
+        capsys.readouterr()
+        assert run_cli(["train", "--config", str(config_path), "--out", str(out),
+                        "--seed", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {out / 'config.resolved.json'} exists: "
+                       "msn train does not overwrite a run"]
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("name", ["config.resolved.json", "metrics.csv", "final.ckpt"])
+    def test_any_run_file_refuses_before_loading_data(self, tmp_path, capsys, monkeypatch,
+                                                       name):
+        monkeypatch.setattr(cli, "load_datasets", lambda *a, **k: pytest.fail("data loaded"))
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / name).write_bytes(b"earlier")
+        assert run_cli(["train", "--config", str(write_config(tmp_path, minimal_config())),
+                        "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {out / name} exists: msn train does not overwrite a run"]
+        assert [path.name for path in out.iterdir()] == [name]
+        assert (out / name).read_bytes() == b"earlier"
+
+    @pytest.mark.parametrize("section", ["top", "train"])
+    def test_repeated_key_exits_1(self, tmp_path, capsys, section):
+        raw = minimal_config()
+        text = json.dumps(raw)
+        if section == "top":
+            text = '{"network": %s, %s' % (json.dumps(raw["network"]), text[1:])
+            key = "network"
+        else:
+            text = text.replace('"iterations": 8', '"iterations": 5, "iterations": 2')
+            key = "iterations"
+        config_path, out = tmp_path / "run.json", tmp_path / "out"
+        config_path.write_text(text)
+        with pytest.raises(ConfigError, match=f"repeated key '{key}'"):
+            RunConfig.from_file(config_path)
+        assert run_cli(["train", "--config", str(config_path), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {config_path}: repeated key '{key}'"]
 
     @pytest.mark.parametrize("key", ["warmup", "within_weight", "distance_mode"])
     def test_invalid_config_key_exits_1(self, tmp_path, capsys, key):

@@ -30,8 +30,7 @@ def loss_grad_check(q, y, xi=0.5, within_weight=1.0):
     """grad_check's worst relative error for the loss of one head with logits
     ``q``, at a fixed xi."""
     xi_state = XiState(initial_xi=xi)
-    return grad_check(lambda t: attach_msn_loss([t], y, [xi_state], within_weight,
-                                                update_xi=False)[0], [q])
+    return grad_check(lambda t: attach_msn_loss([t], y, [xi_state], within_weight)[0], [q])
 
 
 def softmax_of(q):

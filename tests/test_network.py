@@ -344,7 +344,7 @@ class TestMsnLoss:
         logits[2].data[1, 2] = np.nan
         with pytest.raises(NonFiniteError):
             attach_msn_loss(logits, np.array([0, 0, 1, 1]),
-                            [XiState() for _ in logits], update_xi=False)
+                            [XiState() for _ in logits])
 
     def test_empty_head_list_rejected(self):
         with pytest.raises(ValueError):
@@ -355,13 +355,22 @@ class TestMsnLoss:
         with pytest.raises(ValueError):
             attach_msn_loss(logits, y, [XiState()])
 
-    def test_update_xi_flag(self, rng):
+    def test_loss_reads_xi_and_never_writes_it(self, rng):
+        y, logits = self.make_heads(rng, 2)
+        xi_states = [XiState(initial_xi=0.1 * (h + 1), window=3) for h in range(2)]
+        for h, xi_state in enumerate(xi_states):
+            xi_state.history.extend([1.0 + h, 2.0 + h])
+        before = [(xi.xi, list(xi.history)) for xi in xi_states]
+        loss, _, _ = attach_msn_loss(logits, y, xi_states)
+        loss.backward()
+        assert [(xi.xi, list(xi.history)) for xi in xi_states] == before
+
+    def test_update_xi_true_raises(self, rng):
         y, logits = self.make_heads(rng, 2)
         xi_states = [XiState() for _ in logits]
-        attach_msn_loss(logits, y, xi_states, update_xi=False)
+        with pytest.raises(ValueError, match="train updates each head's xi"):
+            attach_msn_loss(logits, y, xi_states, update_xi=True)
         assert all(len(xi.history) == 0 for xi in xi_states)
-        _, _, per_head = attach_msn_loss(logits, y, xi_states)
-        assert [list(xi.history) for xi in xi_states] == [[bd.within] for bd in per_head]
 
 
 class TestEndToEnd:
@@ -371,8 +380,7 @@ class TestEndToEnd:
         images = rng.standard_normal((8, 8, 8, 1)).astype(np.float32)
         labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])
         logits = forward_heads(state, images, mode="train")
-        loss, _, _ = attach_msn_loss(logits, labels, [h.xi_state for h in state.heads],
-                                     update_xi=False)
+        loss, _, _ = attach_msn_loss(logits, labels, [h.xi_state for h in state.heads])
         loss.backward()
         g = state.params["block1.conv1.kernel"].grad
         assert g is not None and float(np.abs(g).sum()) > 0.0
@@ -385,8 +393,7 @@ class TestEndToEnd:
         images = rng.standard_normal((6, 16, 16, 3)).astype(np.float32)
         labels = np.array([0, 0, 1, 1, 2, 2])
         logits = forward_heads(state, images, mode="train")
-        loss, _, _ = attach_msn_loss(logits, labels, [h.xi_state for h in state.heads],
-                                     update_xi=False)
+        loss, _, _ = attach_msn_loss(logits, labels, [h.xi_state for h in state.heads])
         loss.backward()
         for name, t in state.params.items():
             assert t.grad is not None, name
@@ -406,7 +413,7 @@ class TestEndToEnd:
             for name, t in zip(names, tensors):
                 state.params[name] = t
             logits = forward_heads(state, images, mode="train", update_stats=False)
-            loss, _, _ = attach_msn_loss(logits, labels, xi_states, update_xi=False)
+            loss, _, _ = attach_msn_loss(logits, labels, xi_states)
             return loss
 
         assert grad_check(f, arrays) <= 1e-4
@@ -431,8 +438,7 @@ class TestGraphLifetime:
             assert len(trunk) == 7 and all(r() is None for r in trunk)
             trunk.clear()
             logits = forward_heads(state, images, mode="train")
-            loss, _, _ = attach_msn_loss(logits, labels, [h.xi_state for h in state.heads],
-                                         update_xi=False)
+            loss, _, _ = attach_msn_loss(logits, labels, [h.xi_state for h in state.heads])
             assert len(trunk) == 7 and all(r() is not None for r in trunk)
             loss.backward()
             assert all(r() is None for r in trunk)
@@ -445,7 +451,7 @@ class TestGraphLifetime:
         with no_grad():
             logits = forward_heads(state, images, mode="train")
             loss, _, _ = attach_msn_loss(logits, np.array([0, 0, 1, 1, 2, 2]),
-                                         [h.xi_state for h in state.heads], update_xi=False)
+                                         [h.xi_state for h in state.heads])
         assert not loss.requires_grad and loss._prev == ()
 
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from msn import checkpoint as C
+from msn import trainer
 from msn.data import synthetic_blobs
-from msn.losses import XiConfig, XiState
-from msn.network import NetworkSpec, build_network, predict
+from msn.losses import LogitBatch, XiConfig, XiState, msl_total
+from msn.network import NetworkSpec, attach_msn_loss, build_network, forward_heads, predict
 from msn.tensor import NonFiniteError, Tensor
 from msn.trainer import (
     CSV_HEADER,
@@ -193,6 +194,37 @@ class TestTrainLoop:
             series = [row.xi[block] for row in result.rows]
             assert all(a >= b for a, b in zip(series, series[1:]))
             assert all(x >= 1e-4 for x in series)
+
+    def test_each_head_xi_advances_with_its_own_within_loss(self, monkeypatch):
+        # a window of 10 keeps the 6 values from reaching a plateau test, and
+        # a small xi keeps both heads' hinges active, so their losses differ
+        spec = tiny_spec(attachment=(1, 2))
+        ds = tiny_blobs()
+        config = tiny_config(iterations=6, xi=XiConfig(initial=0.01, window=10))
+        seen = []  # (labels, [(logits, xi) per head]) per iteration
+
+        def spy(logits, labels, xi_states, *args, **kwargs):
+            seen.append((labels, [(t.data.copy(), xi.xi) for t, xi in zip(logits, xi_states)]))
+            return attach_msn_loss(logits, labels, xi_states, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "attach_msn_loss", spy)
+        result = train(config, spec, ds)
+        histories = [list(h.xi_state.history) for h in result.state.heads]
+        assert len(seen) == 6 and [len(history) for history in histories] == [6, 6]
+        assert histories[0] != histories[1]
+        for it, (labels, heads) in enumerate(seen):
+            for history, (q, xi) in zip(histories, heads):
+                assert xi == 0.01
+                alone, _ = msl_total(LogitBatch(q=q, y=labels), xi)
+                assert history[it] == alone.within
+
+        # the first batch, scored from scratch: a fresh network, its batch, xi 0.01
+        fresh = build_network(spec, config.seed)
+        idx = batch_indices_for_iteration(ds, config, 0)
+        logits = forward_heads(fresh, ds.images[idx], mode="train")
+        for history, t in zip(histories, logits):
+            alone, _ = msl_total(LogitBatch(q=t.data, y=ds.labels[idx]), 0.01)
+            assert history[0] == alone.within > 0.0
 
 
 class TestCheckpointResume:
