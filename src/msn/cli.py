@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 import time
@@ -78,6 +79,10 @@ def cmd_train(args) -> int:
     for name in ("config.resolved.json", "metrics.csv", "final.ckpt"):
         if (out_dir / name).exists():
             raise ConfigError(f"{out_dir / name} exists: msn train does not overwrite a run")
+    # the directory is made only once the data loads, so that a config or data
+    # error leaves none; a path it cannot be made at is refused before that work
+    if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+        raise ConfigError(f"cannot write run directory {out_dir}: {os.strerror(errno.ENOTDIR)}")
     train_ds, test_ds = load_datasets(config)
 
     try:

@@ -147,8 +147,7 @@ def _safe_extract(archive: Path, dest: Path) -> None:
         tar.extractall(dest)
 
 
-def fetch_dataset(dest, url: str | None = None, sha256: str | None = None,
-                  expected_files=None) -> str:
+def fetch_dataset(dest, url: str | None = None, sha256: str | None = None) -> str:
     """Download, digest-verify, and extract the CIFAR-10 archive into ``dest``.
 
     Idempotent: when the stamp and all expected files are already in place
@@ -156,12 +155,11 @@ def fetch_dataset(dest, url: str | None = None, sha256: str | None = None,
     """
     url = url or CIFAR10_URL
     sha256 = sha256 or CIFAR10_SHA256
-    expected = tuple(expected_files) if expected_files is not None else CIFAR10_EXPECTED
 
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
     stamp = dest / ".verified-cifar10"
-    if stamp.is_file() and _files_ok(dest, expected):
+    if stamp.is_file() and _files_ok(dest, CIFAR10_EXPECTED):
         recorded = json.loads(stamp.read_text())
         if recorded.get("sha256") == sha256:
             return "already-verified"
@@ -174,8 +172,8 @@ def fetch_dataset(dest, url: str | None = None, sha256: str | None = None,
         archive.unlink(missing_ok=True)
         raise DigestMismatchError(expected=sha256, actual=actual)
     _safe_extract(archive, dest)
-    if not _files_ok(dest, expected):
-        missing = [rel for rel, size in expected
+    if not _files_ok(dest, CIFAR10_EXPECTED):
+        missing = [rel for rel, size in CIFAR10_EXPECTED
                    if not (dest / rel).is_file()
                    or (dest / rel).stat().st_size != size]
         raise DatasetFormatError(f"extracted files missing or mis-sized: {missing}")
@@ -383,15 +381,12 @@ def class_aware_batch_indices(dataset: LabeledDataset, batch_size: int,
 # ---------------------------------------------------------------------------
 
 def synthetic_blobs(num_classes: int, per_class: int, image_shape=(8, 8, 1),
-                    separation: float = 3.0,
-                    rng: np.random.Generator | None = None,
+                    separation: float = 3.0, *, rng: np.random.Generator,
                     noise: float = 1.0) -> LabeledDataset:
     """Gaussian blobs around per-class template images; separable when the
     separation dwarfs the unit noise."""
     if separation <= 0:
         raise ValueError("separation must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
     templates = separation * rng.standard_normal((num_classes,) + tuple(image_shape))
     labels = np.repeat(np.arange(num_classes), per_class)
     images = templates[labels] + noise * rng.standard_normal((len(labels),) + tuple(image_shape))

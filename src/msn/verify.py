@@ -139,9 +139,11 @@ def gradcheck_suite(seed: int = 0) -> list:
     return results
 
 
-def full_network_gradcheck(seed: int = 0) -> CheckResult:
-    """Finite-difference check of the averaged loss w.r.t. every parameter of a
-    four-head residual network (all blocks attached) on a batch of 4."""
+def full_network_problem(seed: int = 0) -> tuple:
+    """The averaged loss of a four-head residual network (all blocks attached)
+    on a batch of 4, as ``(f, names, arrays)``: ``f`` takes one tensor per
+    parameter, in the order of the sorted ``names``, whose float64 values as
+    built are ``arrays``."""
     rng = np.random.default_rng(seed + 17)
     spec = NetworkSpec(family="resnet", depth_k=1, width_multiplier=0.25,
                        attachment=(1, 2, 3, 4), num_classes=2, input_shape=(8, 8, 3))
@@ -159,6 +161,13 @@ def full_network_gradcheck(seed: int = 0) -> CheckResult:
         out, _, _ = attach_msn_loss(logits, labels, xi_states)
         return out
 
+    return f, names, arrays
+
+
+def full_network_gradcheck(seed: int = 0) -> CheckResult:
+    """Finite-difference check of ``full_network_problem``'s loss w.r.t. every
+    parameter."""
+    f, _, arrays = full_network_problem(seed)
     # A 1e-7 step keeps the central differences from straddling a ReLU or
     # max-pool kink, which the default 1e-5 step does at some seeds.
     err = grad_check(f, arrays, eps=1e-7)

@@ -14,6 +14,7 @@ import pytest
 
 import msn
 import msn.tensor
+from msn.verify import full_network_problem
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -36,9 +37,24 @@ def test_perfbench_hooks_resolve(bench):
     spans, workloads = bench
     assert spans.instrumentation(spans.Tracer(), msn)
 
-    loss, arrays = workloads.gradcheck_problem(0)
-    out = loss(*[msn.tensor.Tensor(a, requires_grad=True) for a in arrays])
-    assert out.data.shape == () and np.isfinite(out.data)
-
     net = workloads.calibrated_network(workloads.blobs_small_config(), 0)
     assert len(net.heads) == 2
+
+
+def test_gradcheck_problem_is_verifys(bench):
+    # perfbench's gradcheck-net workload restates msn verify's full-network
+    # problem; a change to either copy fails here, not silently in the benchmark
+    _, workloads = bench
+    loss, arrays = workloads.gradcheck_problem(0)
+    verify_loss, names, verify_arrays = full_network_problem(0)
+    by_name = dict(zip(names, verify_arrays))
+    assert len(arrays) == len(workloads.GRADCHECK_PARAMS)
+    for name, array in zip(workloads.GRADCHECK_PARAMS, arrays):
+        want = by_name[name]
+        assert array.dtype == want.dtype == np.float64, name
+        assert array.shape == want.shape and array.tobytes() == want.tobytes(), name
+
+    out = loss(*[msn.tensor.Tensor(a, requires_grad=True) for a in arrays]).data
+    want = verify_loss(*[msn.tensor.Tensor(a, requires_grad=True) for a in verify_arrays]).data
+    assert out.shape == () and np.isfinite(out)
+    assert out.dtype == want.dtype == np.float64 and out == want

@@ -186,14 +186,6 @@ class TestWithinClassLoss:
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
-    def test_loss_matches_bruteforce_and_fd(self, rng):
-        q = rng.standard_normal((32, 10)) * 2
-        y = rng.integers(0, 10, 32)
-        loss, _, _ = within_class_loss(LogitBatch(q=q, y=y), xi=0.5)
-        brute = oracles.within_class_brute(q, y, 0.5)
-        assert abs(loss - brute) / max(1.0, abs(brute)) <= 1e-6
-        assert loss_grad_check(q, y, xi=0.5) <= 1e-6
-
     def test_zero_distance_pairs_contribute_zero_gradient(self):
         q = np.array([[1.0, 2.0], [1.0, 2.0], [4.0, 6.0]])
         batch = LogitBatch(q=q, y=np.zeros(3, dtype=int))

@@ -1,5 +1,6 @@
-"""Schedules, the optimizer recurrence, the training loop, evaluation,
-determinism, and checkpoint resume."""
+"""Schedules, the optimizer recurrence, the training loop, evaluation, and
+checkpoint loads. Byte-identical reruns and resume equivalence are criterion
+10's."""
 
 import numpy as np
 import pytest
@@ -94,6 +95,19 @@ class TestSgdMomentum:
         with pytest.raises(NonFiniteError):
             sgd_momentum_step(params, opt, lr=0.1, momentum=0.9)
 
+    def test_block_after_the_deepest_head_takes_no_step(self):
+        # block 2 feeds no head, so backward leaves its gradients None and the
+        # step skips those parameters: no update and no velocity
+        spec = tiny_spec(attachment=(1,))
+        fresh = build_network(spec, seed=0)
+        result = train(tiny_config(iterations=3), spec, tiny_blobs())
+        for name, p in result.state.params.items():
+            if name.startswith("block2."):
+                assert p.data.tobytes() == fresh.params[name].data.tobytes(), name
+                assert not result.opt_state.velocity[name].any(), name
+            else:
+                assert p.data.tobytes() != fresh.params[name].data.tobytes(), name
+
     def test_velocity_shapes_mirror_parameters(self):
         spec = tiny_spec()
         state = build_network(spec, seed=0)
@@ -142,15 +156,6 @@ class TestTrainLoop:
         for name in fresh.params:
             np.testing.assert_array_equal(result.state.params[name].data,
                                           fresh.params[name].data)
-
-    def test_same_seed_gives_byte_identical_csv(self, tmp_path):
-        spec = tiny_spec()
-        ds = tiny_blobs()
-        test_ds = tiny_blobs(seed=1)
-        for run in ("a", "b"):
-            train(tiny_config(), spec, ds, eval_dataset=test_ds,
-                  csv_path=tmp_path / f"{run}.csv")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_csv_layout(self, tmp_path):
         spec = tiny_spec()  # head on block 2 only
@@ -249,28 +254,6 @@ class TestCheckpointResume:
         for fresh, trained in zip(state.heads, result.state.heads):
             assert fresh.xi_state.xi == trained.xi_state.xi
             assert list(fresh.xi_state.history) == list(trained.xi_state.history)
-
-    def test_resume_matches_uninterrupted_run(self, tmp_path):
-        spec = tiny_spec(attachment=(1, 2))
-        ds = tiny_blobs()
-        test_ds = tiny_blobs(seed=5)
-
-        full = train(tiny_config(iterations=20), spec, ds, eval_dataset=test_ds)
-
-        half = train(tiny_config(iterations=10), spec, ds, eval_dataset=test_ds)
-        path = tmp_path / "half.ckpt"
-        save_checkpoint(half.state, half.opt_state,
-                        [h.xi_state for h in half.state.heads], path, iteration=10)
-        resumed = train(tiny_config(iterations=20), spec, ds, eval_dataset=test_ds,
-                        resume_path=path)
-
-        assert len(resumed.rows) == 10
-        full_rows = [r for r in full.rows if r.iteration >= 10]
-        for a, b in zip(full_rows, resumed.rows):
-            assert a == b
-        for name in full.state.params:
-            np.testing.assert_array_equal(resumed.state.params[name].data,
-                                          full.state.params[name].data)
 
     def test_load_checkpoint_missing_parameter(self, tmp_path):
         spec = tiny_spec()
