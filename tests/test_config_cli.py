@@ -374,6 +374,24 @@ class TestConfigSchema:
         resolved = RunConfig.from_file(CONFIGS / "cifar_subset.json").resolved_dict()
         assert list(undocumented(resolved)) == []
 
+    # The CLI test runs these tables too, but its exit 1 cannot tell which
+    # layer refused the config; these pin the refusal to the config reader.
+    @pytest.mark.parametrize("mutate,needle", BAD_VALUES)
+    def test_bad_values_rejected_by_name(self, mutate, needle):
+        raw = minimal_config()
+        mutate(raw)
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(raw)
+        assert needle in str(exc.value)
+
+    @pytest.mark.parametrize("mutate,needle", UNKNOWN_KEYS)
+    def test_unknown_keys_rejected_by_name(self, mutate, needle):
+        raw = minimal_config()
+        mutate(raw)
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(raw)
+        assert needle in str(exc.value)
+
 
 class TestLoadDatasets:
     def test_blob_splits_and_shapes(self):
@@ -428,6 +446,15 @@ class TestLoadDatasets:
         raw["data"] = {"dataset": "cifar10", "data_dir": str(tmp_path / "nope")}
         with pytest.raises(ConfigError):
             load_datasets(RunConfig.from_dict(raw))
+
+    @pytest.mark.parametrize("mutate,needle", BAD_DATA)
+    def test_bad_data_rejected_by_name(self, mutate, needle):
+        raw = minimal_config()
+        mutate(raw)
+        cfg = RunConfig.from_dict(raw)
+        with pytest.raises(ConfigError) as exc:
+            load_datasets(cfg)
+        assert needle in str(exc.value)
 
 
 class TestCliFetch:
