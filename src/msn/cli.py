@@ -54,13 +54,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_fetch_data(args) -> int:
-    data = RunConfig.from_file(args.config).data if args.config else DataConfig()
-    dest = args.out or data.resolve_data_dir()
+    dest = args.out or DataConfig().resolve_data_dir()
     try:
         Path(dest).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create data directory {dest}: {exc.strerror}") from exc
-    status = fetch_dataset(dest, url=args.url or data.url, sha256=args.sha256 or data.sha256)
+    status = fetch_dataset(dest, url=args.url, sha256=args.sha256)
     if status == "already-verified":
         print(f"already verified: {dest}")
     else:
@@ -74,14 +73,15 @@ def _new_run_dir() -> Path:
 
 
 def cmd_train(args) -> int:
-    config = RunConfig.from_file(args.config, seed=args.seed, out_dir=args.out, loss=args.loss)
-    out_dir = Path(config.out_dir) if config.out_dir else _new_run_dir()
+    config = RunConfig.from_file(args.config, seed=args.seed, loss=args.loss)
+    out_dir = Path(args.out) if args.out else _new_run_dir()
+    # lexists, not exists: a dangling link must not pass for a free path
     for name in ("config.resolved.json", "metrics.csv", "final.ckpt"):
-        if (out_dir / name).exists():
+        if os.path.lexists(out_dir / name):
             raise ConfigError(f"{out_dir / name} exists: msn train does not overwrite a run")
     # the directory is made only once the data loads, so that a config or data
     # error leaves none; a path it cannot be made at is refused before that work
-    if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+    if not next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p)).is_dir():
         raise ConfigError(f"cannot write run directory {out_dir}: {os.strerror(errno.ENOTDIR)}")
     train_ds, test_ds = load_datasets(config)
 
@@ -135,8 +135,6 @@ def build_parser() -> _Parser:
                        help="destination directory (default: $MSN_DATA_DIR or ./data)")
     fetch.add_argument("--url", default=None, help="override the archive URL")
     fetch.add_argument("--sha256", default=None, help="override the pinned digest")
-    fetch.add_argument("--config", default=None,
-                       help="run config supplying data.url/data.sha256/data.data_dir")
     fetch.set_defaults(func=cmd_fetch_data)
 
     tr = sub.add_parser("train", help="run training from a JSON config")

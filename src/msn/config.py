@@ -1,10 +1,10 @@
 """Run configuration: strict JSON schema plus dataset assembly.
 
-A run config has four top-level sections: ``network``, ``data``, ``train``,
-and ``out_dir``. The file has the shape of RunConfig and is read into it
-recursively: each dataclass's fields give the allowed keys of its object, the
-required ones, the defaults and the JSON value types, and ``asdict`` writes it
-back. The CLI's flags (seed, out dir, loss) replace file values before the read.
+A run config has three sections: ``network``, ``data`` and ``train``. The
+file has the shape of RunConfig and is read into it recursively: each
+dataclass's fields give the allowed keys of its object, the required ones, the
+defaults and the JSON value types, and ``asdict`` writes it back. The CLI's
+flags (seed, loss) replace file values before the read.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class BlobsConfig:
     test_per_class: int = 100
     image_shape: tuple = (8, 8, 1)
     separation: float = 3.0
-    noise: float = 1.0
 
     def __post_init__(self):
         _at_least_1(self, "classes", "train_per_class", "test_per_class")
@@ -82,8 +81,6 @@ class SubsetConfig:
 class DataConfig:
     dataset: str = "blobs"
     data_dir: str | None = None
-    url: str | None = None
-    sha256: str | None = None
     gcn: bool = True
     zca: bool = True
     zca_eps: float = 1e-2
@@ -165,18 +162,15 @@ class RunConfig:
     network: NetworkSpec
     train: TrainConfig
     data: DataConfig = field(default_factory=DataConfig)
-    out_dir: str | None = None
 
     @classmethod
-    def from_dict(cls, d: dict, seed=None, out_dir=None, loss=None) -> "RunConfig":
-        """The run ``d`` describes. ``seed``, ``out_dir`` and ``loss``, where
-        given (the CLI's overrides), replace the file's values before it is
-        read, so they are checked as file values are. A named
-        ``network.attachment`` is replaced by its list of blocks."""
+    def from_dict(cls, d: dict, seed=None, loss=None) -> "RunConfig":
+        """The run ``d`` describes. ``seed`` and ``loss``, where given (the
+        CLI's overrides), replace the file's values before it is read, so
+        they are checked as file values are. A named ``network.attachment``
+        is replaced by its list of blocks."""
         if type(d) is dict:
             d = dict(d)
-            if out_dir is not None:
-                d["out_dir"] = out_dir
             overrides = {k: v for k, v in (("seed", seed), ("loss", loss)) if v is not None}
             if type(d.get("train")) is dict:
                 d["train"] = {**d["train"], **overrides}
@@ -188,7 +182,7 @@ class RunConfig:
         return _read(cls, "", d)
 
     @classmethod
-    def from_file(cls, path, seed=None, out_dir=None, loss=None) -> "RunConfig":
+    def from_file(cls, path, seed=None, loss=None) -> "RunConfig":
         path = Path(path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"),
@@ -197,7 +191,7 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(raw, seed=seed, out_dir=out_dir, loss=loss)
+        return cls.from_dict(raw, seed=seed, loss=loss)
 
     def resolved_dict(self) -> dict:
         return asdict(self)
@@ -226,7 +220,7 @@ def load_datasets(config: RunConfig, *, test_only: bool = False):
         b = dc.blobs
         total = b.train_per_class + b.test_per_class
         ds = _build("data.blobs", D.synthetic_blobs, b.classes, total,
-                    image_shape=b.image_shape, separation=b.separation, noise=b.noise,
+                    image_shape=b.image_shape, separation=b.separation,
                     rng=np.random.default_rng((config.train.seed, 9000)))
         # per class, the first train_per_class samples train and the next
         # test_per_class test; both splits keep class order

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 CIFAR10_URL = "https://www.cs.toronto.edu/~kriz/cifar-10-binary.tar.gz"
-# Digest of the canonical archive; override via config/flag if upstream changes.
+# Digest of the canonical archive; override with --sha256 if upstream changes.
 CIFAR10_SHA256 = "c4a38c50a1bc5f3a1c5537f2155ab9d68f9f25eb1ed8d9ddda3db29a59bca1dd"
 CIFAR10_SUBDIR = "cifar-10-batches-bin"
 RECORD_BYTES = 3073
@@ -381,15 +381,14 @@ def class_aware_batch_indices(dataset: LabeledDataset, batch_size: int,
 # ---------------------------------------------------------------------------
 
 def synthetic_blobs(num_classes: int, per_class: int, image_shape=(8, 8, 1),
-                    separation: float = 3.0, *, rng: np.random.Generator,
-                    noise: float = 1.0) -> LabeledDataset:
+                    separation: float = 3.0, *, rng: np.random.Generator) -> LabeledDataset:
     """Gaussian blobs around per-class template images; separable when the
     separation dwarfs the unit noise."""
     if separation <= 0:
         raise ValueError("separation must be positive")
     templates = separation * rng.standard_normal((num_classes,) + tuple(image_shape))
     labels = np.repeat(np.arange(num_classes), per_class)
-    images = templates[labels] + noise * rng.standard_normal((len(labels),) + tuple(image_shape))
+    images = templates[labels] + rng.standard_normal((len(labels),) + tuple(image_shape))
     order = rng.permutation(len(labels))
     return LabeledDataset(images=images[order].astype(np.float32),
                           labels=labels[order], num_classes=num_classes)

@@ -1,6 +1,7 @@
 """Config schema strictness, dataset assembly, and the CLI contract
 (subcommands, outputs, exit codes)."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -73,7 +74,6 @@ BLOBS_SMALL_RESOLVED = """\
         8,
         1
       ],
-      "noise": 1.0,
       "separation": 3.0,
       "test_per_class": 100,
       "train_per_class": 500
@@ -82,9 +82,7 @@ BLOBS_SMALL_RESOLVED = """\
     "dataset": "blobs",
     "flip": false,
     "gcn": false,
-    "sha256": null,
     "subset": null,
-    "url": null,
     "zca": false,
     "zca_eps": 0.01
   },
@@ -105,7 +103,6 @@ BLOBS_SMALL_RESOLVED = """\
     "widen_factor": 10,
     "width_multiplier": 0.0625
   },
-  "out_dir": null,
   "train": {
     "batch_size": 64,
     "batching": "class-aware",
@@ -140,7 +137,6 @@ CIFAR_SUBSET_RESOLVED = """\
         8,
         1
       ],
-      "noise": 1.0,
       "separation": 3.0,
       "test_per_class": 100,
       "train_per_class": 500
@@ -149,7 +145,6 @@ CIFAR_SUBSET_RESOLVED = """\
     "dataset": "cifar10",
     "flip": true,
     "gcn": true,
-    "sha256": null,
     "subset": {
       "classes": [
         0,
@@ -158,7 +153,6 @@ CIFAR_SUBSET_RESOLVED = """\
       "test_per_class": 100,
       "train_per_class": 500
     },
-    "url": null,
     "zca": true,
     "zca_eps": 0.01
   },
@@ -178,7 +172,6 @@ CIFAR_SUBSET_RESOLVED = """\
     "widen_factor": 10,
     "width_multiplier": 0.5
   },
-  "out_dir": null,
   "train": {
     "batch_size": 64,
     "batching": "class-aware",
@@ -288,6 +281,11 @@ UNKNOWN_KEYS = [
     *(pytest.param(lambda d, k=key, v=value: d["train"].update({k: v}), key, id=f"train.{key}")
       for key, value in [("warmup", 5), ("lr_warmup", 1), ("within_weight", 0.5),
                          ("distance_mode", "euclidean")]),
+    # keys a run config had until they left it; a run directory written then holds them
+    pytest.param(lambda d: d.update(out_dir="runs/x"), "out_dir", id="out_dir"),
+    *(pytest.param(lambda d, k=key: d["data"].update({k: None}), key, id=f"data.{key}")
+      for key in ("url", "sha256")),
+    pytest.param(lambda d: d["data"]["blobs"].update(noise=1.0), "noise", id="data.blobs.noise"),
 ]
 
 
@@ -320,10 +318,9 @@ class TestConfigSchema:
         assert cfg.network.attachment == (1, 2, 3, 4)
 
     def test_overrides(self):
-        out = RunConfig.from_dict(minimal_config(), seed=5, loss="ce", out_dir="x")
+        out = RunConfig.from_dict(minimal_config(), seed=5, loss="ce")
         assert out.train.seed == 5
         assert out.train.loss == "ce"
-        assert out.out_dir == "x"
         with pytest.raises(ConfigError, match="loss"):
             RunConfig.from_dict(minimal_config(), loss="hinge")
 
@@ -373,6 +370,21 @@ class TestConfigSchema:
 
         resolved = RunConfig.from_file(CONFIGS / "cifar_subset.json").resolved_dict()
         assert list(undocumented(resolved)) == []
+
+    def test_readme_documents_every_cli_flag(self):
+        # a flag counts as documented when it is in a backticked span or a
+        # fenced code block anywhere in the README
+        readme = (ROOT / "README.md").read_text()
+        fence = re.compile(r"^```.*?^```$", re.M | re.S)
+        spans = re.findall(r"`([^`]+)`", fence.sub("", readme))
+        documented = "\n".join(fence.findall(readme) + spans)
+        (commands,) = [action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        undocumented = [f"{command} {flag}" for command, parser in commands.items()
+                        for action in parser._actions for flag in action.option_strings
+                        if flag.startswith("--") and flag != "--help"
+                        and not re.search(re.escape(flag) + r"(?![\w-])", documented)]
+        assert undocumented == []
 
     # The CLI test runs these tables too, but its exit 1 cannot tell which
     # layer refused the config; these pin the refusal to the config reader.
@@ -482,17 +494,17 @@ class TestCliFetch:
                         "--url", archive.as_uri(), "--sha256", digest])
         assert code == 2
 
-    def test_config_file_supplies_url_and_digest(self, tmp_path):
+    def test_default_destination_is_msn_data_dir(self, tmp_path, monkeypatch, capsys):
         archive, _ = tar_cifar_files(tmp_path)
         digest = hashlib.sha256(archive.read_bytes()).hexdigest()
-        raw = minimal_config()
-        raw["data"] = {"dataset": "cifar10", "data_dir": str(tmp_path / "d"),
-                       "url": archive.as_uri(), "sha256": digest}
-        config_path = write_config(tmp_path, raw)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MSN_DATA_DIR", str(tmp_path / "d"))
         code = run_cli(["fetch-data", "--dataset", "cifar10",
-                        "--config", str(config_path)])
+                        "--url", archive.as_uri(), "--sha256", digest])
         assert code == 0
+        assert capsys.readouterr().out == f"fetched and verified: {tmp_path / 'd'}\n"
         assert (tmp_path / "d" / ".verified-cifar10").is_file()
+        assert not (tmp_path / "data").exists()
 
     def test_unknown_dataset_is_usage_error(self):
         assert run_cli(["fetch-data", "--dataset", "mnist", "--out", "x"]) == 1
@@ -530,17 +542,16 @@ class TestCliFetch:
 
 class TestCliTrainEval:
     def test_train_writes_outputs_and_is_deterministic(self, tmp_path, capsys):
+        # the run directory's name is not part of the run: both write the same bytes
         config_path = write_config(tmp_path, minimal_config())
-        outs = []
+        runs = []
         for name in ("a", "b"):
             out = tmp_path / name
             code = run_cli(["train", "--config", str(config_path), "--out", str(out)])
             assert code == 0
-            assert (out / "config.resolved.json").is_file()
-            assert (out / "metrics.csv").is_file()
-            assert (out / "final.ckpt").is_file()
-            outs.append(out)
-        assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
+            runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert sorted(runs[0]) == ["config.resolved.json", "final.ckpt", "metrics.csv"]
+        assert runs[0] == runs[1]
 
     def test_loss_flag_forces_zero_weight(self, tmp_path):
         config_path = write_config(tmp_path, minimal_config())
@@ -577,16 +588,18 @@ class TestCliTrainEval:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: " + message.format(config_path)]
 
-    @pytest.mark.parametrize("under", ["file", "file/run", "file/a/run"])
+    @pytest.mark.parametrize("under", ["file", "file/run", "file/a/run", "dangling"])
     def test_unusable_out_dir_exits_1(self, tmp_path, capsys, monkeypatch, under):
         monkeypatch.setattr(cli, "load_datasets", lambda *a, **k: pytest.fail("data loaded"))
         config_path = write_config(tmp_path, minimal_config())
         (tmp_path / "file").write_text("")
+        (tmp_path / "dangling").symlink_to(tmp_path / "target")
         out = tmp_path / under
         assert run_cli(["train", "--config", str(config_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: cannot write run directory {out}: Not a directory"]
         assert (tmp_path / "file").read_text() == ""
+        assert not os.path.lexists(tmp_path / "target")
 
     def test_finished_run_is_not_overwritten(self, tmp_path, capsys):
         config_path = write_config(tmp_path, minimal_config())
@@ -602,19 +615,25 @@ class TestCliTrainEval:
                        "msn train does not overwrite a run"]
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    @pytest.mark.parametrize("dangling", [False, True], ids=["file", "dangling-link"])
     @pytest.mark.parametrize("name", ["config.resolved.json", "metrics.csv", "final.ckpt"])
     def test_any_run_file_refuses_before_loading_data(self, tmp_path, capsys, monkeypatch,
-                                                       name):
+                                                       name, dangling):
         monkeypatch.setattr(cli, "load_datasets", lambda *a, **k: pytest.fail("data loaded"))
-        out = tmp_path / "run"
+        out, target = tmp_path / "run", tmp_path / "target"
         out.mkdir()
-        (out / name).write_bytes(b"earlier")
+        if dangling:
+            (out / name).symlink_to(target)
+        else:
+            (out / name).write_bytes(b"earlier")
         assert run_cli(["train", "--config", str(write_config(tmp_path, minimal_config())),
                         "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {out / name} exists: msn train does not overwrite a run"]
         assert [path.name for path in out.iterdir()] == [name]
-        assert (out / name).read_bytes() == b"earlier"
+        assert not os.path.lexists(target)
+        if not dangling:
+            assert (out / name).read_bytes() == b"earlier"
 
     @pytest.mark.parametrize("section", ["top", "train"])
     def test_repeated_key_exits_1(self, tmp_path, capsys, section):
@@ -742,6 +761,25 @@ class TestCliTrainEval:
         assert run_cli(["eval", "--checkpoint", str(out / "final.ckpt")]) == 0
         assert capsys.readouterr().out.startswith("test_error=")
 
+    def test_eval_of_a_run_with_removed_keys_names_them(self, tmp_path, capsys):
+        # config.resolved.json as it was written while the run config held
+        # out_dir, data.url, data.sha256 and data.blobs.noise
+        config_path = write_config(tmp_path, minimal_config())
+        out = tmp_path / "run"
+        assert run_cli(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        resolved = out / "config.resolved.json"
+        old = json.loads(resolved.read_text())
+        old["out_dir"] = str(out)
+        old["data"].update(url=None, sha256=None)
+        old["data"]["blobs"]["noise"] = 1.0
+        resolved.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert run_cli(["eval", "--checkpoint", str(out / "final.ckpt")]) == 1
+        assert capsys.readouterr().err == "error: unknown key(s) in config: ['out_dir']\n"
+        assert run_cli(["eval", "--checkpoint", str(out / "final.ckpt"),
+                        "--config", str(config_path)]) == 0
+        assert capsys.readouterr().out.startswith("test_error=")
+
     @pytest.mark.parametrize("make,reason", [
         (lambda path: None, "No such file or directory"),
         (lambda path: path.mkdir(), "Is a directory"),
@@ -804,6 +842,12 @@ class TestCliTrainEval:
         assert run_cli(["train", "--config", str(config_path)]) == 0
         runs = list((tmp_path / "runs").iterdir())
         assert len(runs) == 2
+        # the resolved config of a run written to --out does not name that
+        # directory, so training from it without --out takes a fresh one too
+        named = tmp_path / "named"
+        assert run_cli(["train", "--config", str(config_path), "--out", str(named)]) == 0
+        assert run_cli(["train", "--config", str(named / "config.resolved.json")]) == 0
+        assert len(list((tmp_path / "runs").iterdir())) == 3
 
 
 class TestCliVerify:
