@@ -88,14 +88,13 @@ def cmd_train(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "config.resolved.json").write_text(config.resolved_json())
+        result = train(config.train, config.network, train_ds, eval_dataset=test_ds,
+                       csv_path=out_dir / "metrics.csv", flip=config.data.flip)
+        save_checkpoint(result.state, result.opt_state,
+                        [h.xi_state for h in result.state.heads],
+                        out_dir / "final.ckpt", iteration=config.train.iterations)
     except OSError as exc:
         raise ConfigError(f"cannot write run directory {out_dir}: {exc.strerror}") from exc
-
-    result = train(config.train, config.network, train_ds, eval_dataset=test_ds,
-                   csv_path=out_dir / "metrics.csv", flip=config.data.flip)
-    save_checkpoint(result.state, result.opt_state,
-                    [h.xi_state for h in result.state.heads],
-                    out_dir / "final.ckpt", iteration=config.train.iterations)
     final_error = evaluate(result.state, test_ds)
     print(f"run_dir={out_dir}")
     print(f"test_error={final_error:.6f}")

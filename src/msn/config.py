@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import os
+import sys
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field
@@ -118,12 +119,9 @@ def _schema(cls) -> dict:
 
 
 def _build(section: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, its ValueError reported for ``section``. A
-    DatasetFormatError is a fault of the data files and passes through."""
+    """``make(*args, **kwargs)``, its ValueError reported for ``section``."""
     try:
         return make(*args, **kwargs)
-    except D.DatasetFormatError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -149,8 +147,12 @@ def _read(cls, section: str, given):
             values[name] = _read(kind, key, value)
         elif kind is tuple and type(value) is list and all(type(v) is int for v in value):
             values[name] = tuple(value)
-        elif type(value) is kind or (kind is float and type(value) is int):
-            values[name] = kind(value)
+        elif kind is float and type(value) in (int, float):
+            if not abs(value) <= sys.float_info.max:  # NaN, an infinity, past float range
+                raise ConfigError(f"{key}: expected a finite number, got {json.dumps(value)}")
+            values[name] = float(value)
+        elif type(value) is kind:
+            values[name] = value
         else:
             raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, "
                               f"got {json.dumps(value, default=repr)}")

@@ -52,7 +52,7 @@ class DownloadError(RuntimeError):
     """Network-level failure; retryable."""
 
 
-class DatasetFormatError(ValueError):
+class DatasetFormatError(RuntimeError):
     """Malformed dataset bytes (truncation, bad label, wrong sizes)."""
 
 
@@ -154,7 +154,7 @@ def fetch_dataset(dest, url: str | None = None, sha256: str | None = None) -> st
     the network is never touched. Returns "already-verified" or "fetched".
     """
     url = url or CIFAR10_URL
-    sha256 = sha256 or CIFAR10_SHA256
+    sha256 = (sha256 or CIFAR10_SHA256).lower()
 
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)

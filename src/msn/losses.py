@@ -8,6 +8,7 @@ gradients into the autodiff graph is the network module's job.
 from __future__ import annotations
 
 import functools
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -76,8 +77,8 @@ class XiState:
             raise ValueError(f"xi initial must be positive, got {self.initial_xi}")
         if not (0 < self.decay < 1):
             raise ValueError(f"xi decay must lie in (0, 1), got {self.decay}")
-        if self.window < 1:
-            raise ValueError(f"xi window must be at least 1, got {self.window}")
+        if not (1 <= self.window <= sys.maxsize // 2):  # deque(maxlen=2 * window) fits
+            raise ValueError(f"xi window must lie in [1, {sys.maxsize // 2}], got {self.window}")
         if self.plateau_tol < 0:
             raise ValueError(f"xi plateau_tol must be non-negative, got {self.plateau_tol}")
         if self.floor < 0:

@@ -12,9 +12,9 @@ pooling between blocks:
 Every block in the attachment mask gets a separability head (global average
 pooling + FC) on the block's output, before the pooling that follows it.
 
-The forward walk (``_trunk``) is the one description of each trunk's layout:
-``build_network`` runs it once to create the tensors in the order it asks for
-them.
+The forward walk (``_walk``) is the one description of each network's layout,
+heads included: ``build_network`` runs it once to create the tensors in the
+order it asks for them, and ``forward_heads`` runs it to get the logits.
 """
 
 from __future__ import annotations
@@ -64,7 +64,10 @@ PREDICT_BLOCK = 64
 
 
 def _scaled(channels: int, multiplier: float) -> int:
-    scaled = int(round(channels * multiplier))
+    scaled = channels * multiplier
+    if not np.isfinite(scaled):
+        raise ValueError(f"width multiplier {multiplier} makes {channels} channels infinite")
+    scaled = round(scaled)
     if scaled < 1:
         raise ValueError(
             f"width multiplier {multiplier} collapses {channels} channels below 1")
@@ -174,11 +177,11 @@ def build_network(spec: NetworkSpec, seed: int,
                   xi_factory: Callable[[], XiState] = XiState) -> NetworkState:
     """Initialize all parameters for ``spec`` deterministically from ``seed``.
 
-    One walk of the trunk, under ``no_grad`` and in infer mode on a zero image
-    of the smallest size the pooling stages accept, makes each trunk tensor
-    when the forward pass first asks for it; the heads follow in attachment
-    order. Conv and FC weights draw from N(0, 2/fan_in); biases, beta and
-    running means start at zero, gamma and running variances at one.
+    One forward walk, under ``no_grad`` and in infer mode on a zero image of
+    the smallest size the pooling stages accept, makes each tensor when the
+    walk first asks for it: the trunk's, then each head's FC. Conv and FC
+    weights draw from N(0, 2/fan_in); biases, beta and running means start at
+    zero, gamma and running variances at one.
     """
     rng = np.random.default_rng(seed)
 
@@ -187,31 +190,25 @@ def build_network(spec: NetworkSpec, seed: int,
             return np.full(shape, fill, dtype=dtype)
         return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
 
-    state = NetworkState(spec=spec, params={}, buffers={}, heads=[], dtype=np.dtype(dtype))
+    params = {}
+    state = NetworkState(spec=spec, params=params, buffers={}, dtype=np.dtype(dtype),
+                         heads=[MsmHead(block, xi_factory(), params) for block in spec.attachment])
     side = 2 ** (spec.num_blocks - 1)
-    zeros = Tensor(np.zeros((1, side, side, spec.input_shape[2]), dtype))
     with no_grad():
-        for _ in _trunk(state, zeros, "infer", False, make):
-            pass
-    chans = spec.block_channels()
-    for block in spec.attachment:
-        d = chans[block - 1]
-        state.params[f"head{block}.fc.weight"] = Tensor(make((d, spec.num_classes), d),
-                                                        requires_grad=True)
-        state.params[f"head{block}.fc.bias"] = Tensor(make((spec.num_classes,)),
-                                                      requires_grad=True)
-        state.heads.append(MsmHead(attach_block=block, xi_state=xi_factory(),
-                                   params=state.params))
+        _walk(state, Tensor(np.zeros((1, side, side, spec.input_shape[2]), dtype)),
+              "infer", False, make)
     return state
 
 
-def _trunk(state: NetworkState, x: Tensor, mode: str, update_stats: bool,
-           make: Callable | None = None):
-    """Yield (block, output) for each block, before the pooling that follows it.
+def _walk(state: NetworkState, x: Tensor, mode: str, update_stats: bool,
+          make: Callable | None = None) -> list:
+    """The logits of each attached head, in block order, for the batch ``x``.
 
-    This walk is the one description of the trunk's layout. It gets every
+    This walk is the one description of the network's layout. It gets every
     tensor by name; given ``make(shape, fan_in, fill)``, it first creates each
-    one that is missing, so the walk's order is the creation order.
+    one that is missing, so the walk's order is the creation order. An
+    attached block's output is pooled before the max pooling that follows it,
+    so only (N, C) vectors wait for the heads.
     """
     spec, p, b = state.spec, state.params, state.buffers
 
@@ -240,6 +237,7 @@ def _trunk(state: NetworkState, x: Tensor, mode: str, update_stats: bool,
         skip = conv(f"{name}.proj", t, 1, cout) if t.shape[-1] != cout else t
         return residual_add(h, skip)
 
+    pooled = {}
     for block, cout in enumerate(spec.block_channels(), 1):
         if spec.family == "vgg":
             for j in range(1, VGG_CONVS_PER_BLOCK[block - 1] + 1):
@@ -249,34 +247,33 @@ def _trunk(state: NetworkState, x: Tensor, mode: str, update_stats: bool,
         else:
             for u in range(1, spec.depth_k + 1):
                 x = unit(f"block{block}.unit{u}", x, cout)
-        yield block, x
+        if block in spec.attachment:
+            pooled[block] = global_average_pool(x)
         if block < spec.num_blocks:
             x = max_pool2(x)
+    # the heads' FCs come after the whole trunk: the creation order is the
+    # rng's draw order, and the trunk's tensors are drawn first
+    return [linear(v, get(p, f"head{block}.fc.weight", (v.shape[-1], spec.num_classes),
+                          fan_in=v.shape[-1]),
+                   get(p, f"head{block}.fc.bias", (spec.num_classes,)))
+            for block, v in pooled.items()]
 
 
 def forward_heads(state: NetworkState, images, mode: str = "train",
                   update_stats: bool = True) -> list:
-    """Single trunk pass; returns one logits tensor per attached head.
+    """Single trunk pass over the image array ``images``; returns one logits
+    tensor per attached head, ordered by block index.
 
-    Heads come back ordered by block index. The trunk is computed once and
-    shared; each attached block feeds global average pooling and that head's
-    FC layer. Train mode folds the batch statistics into the batch-norm
-    running buffers unless ``update_stats`` is False.
+    Train mode folds the batch statistics into the batch-norm running buffers
+    unless ``update_stats`` is False.
     """
     spec = state.spec
-    if not isinstance(images, Tensor):
-        images = Tensor(np.asarray(images, dtype=state.dtype))
-    if images.data.ndim != 4 or images.data.shape[1:] != tuple(spec.input_shape):
+    images = np.asarray(images, dtype=state.dtype)
+    if images.ndim != 4 or images.shape[1:] != tuple(spec.input_shape):
         raise ValueError(
-            f"images shape {images.data.shape} does not match spec input "
+            f"images shape {images.shape} does not match spec input "
             f"(N, {spec.input_shape[0]}, {spec.input_shape[1]}, {spec.input_shape[2]})")
-
-    logits = []
-    for block, x in _trunk(state, images, mode, update_stats):
-        if block in spec.attachment:
-            logits.append(linear(global_average_pool(x), state.params[f"head{block}.fc.weight"],
-                                 state.params[f"head{block}.fc.bias"]))
-    return logits
+    return _walk(state, Tensor(images), mode, update_stats)
 
 
 def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,

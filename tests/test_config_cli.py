@@ -2,19 +2,28 @@
 (subcommands, outputs, exit codes)."""
 
 import argparse
+import builtins
+import copy
 import csv
+import dataclasses
+import errno
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msn import cli
+from msn import checkpoint as ckpt
+from msn import cli, trainer
 from msn.cli import main
 from msn import data as D
 from msn.config import ConfigError, RunConfig, load_datasets
@@ -256,6 +265,22 @@ BAD_VALUES = [
     pytest.param(subset([0, 1], dataset="blobs"), "data: subset", id="data.subset-on-blobs"),
     pytest.param(subset([0, 0]), "data.subset: classes", id="data.subset.classes=[0,0]"),
     pytest.param(subset([]), "data.subset: classes", id="data.subset.classes=[]"),
+    pytest.param(lambda d: d["train"]["xi"].update(initial=float("nan")),
+                 "train.xi.initial: expected a finite number, got NaN", id="train.xi.initial=NaN"),
+    pytest.param(lambda d: d["train"].update(lr=float("nan")),
+                 "train.lr: expected a finite number, got NaN", id="train.lr=NaN"),
+    pytest.param(lambda d: d["data"].update(zca_eps=float("inf")),
+                 "data.zca_eps: expected a finite number, got Infinity",
+                 id="data.zca_eps=Infinity"),
+    pytest.param(lambda d: d["data"]["blobs"].update(separation=float("nan")),
+                 "data.blobs.separation: expected a finite number, got NaN",
+                 id="data.blobs.separation=NaN"),
+    pytest.param(lambda d: d["network"].update(width_multiplier=1e308),
+                 "network: width multiplier 1e+308 makes 64 channels infinite",
+                 id="network.width_multiplier=1e308"),
+    pytest.param(lambda d: d["train"]["xi"].update(window=2 ** 62),
+                 f"train.xi: xi window must lie in [1, {2 ** 62 - 1}], got {2 ** 62}",
+                 id="train.xi.window=2**62"),
 ]
 
 # Each config parses, but its data cannot be built or does not fit the network.
@@ -405,6 +430,78 @@ class TestConfigSchema:
         assert needle in str(exc.value)
 
 
+def field_paths(cls, prefix=()):
+    """The key path of every field of the dataclass ``cls``, nested sections
+    and their fields included."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        path = (*prefix, f.name)
+        yield path
+        kind = next((t for t in typing.get_args(hints[f.name]) if t is not type(None)),
+                    hints[f.name])
+        if dataclasses.is_dataclass(kind):
+            yield from field_paths(kind, path)
+
+
+def float_values(config):
+    """The value of every float field of ``config`` and of its sections."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from float_values(value)
+        elif type(value) is float:
+            yield value
+
+
+# Wrong JSON types, the non-finite floats, and numbers past the float or the
+# index range.
+ODD_VALUES = ["x", True, 1.5, float("nan"), float("inf"), -float("inf"), 1e308,
+              2 ** 62, 2 ** 63, {}, []]
+
+
+def edited_config(name, edits):
+    """The shipped config ``name`` with each (key path, value) of ``edits``
+    set; a missing or non-object section on the path becomes an object."""
+    raw = shipped_config(name)
+    for path, value in edits:
+        doc = raw
+        for key in path[:-1]:
+            if type(doc.get(key)) is not dict:
+                doc[key] = {}
+            doc = doc[key]
+        doc[path[-1]] = copy.deepcopy(value)
+    return raw
+
+
+def check_reader(name, edits):
+    """The edited config is refused with ConfigError, and nothing else, or
+    read with every float field finite."""
+    try:
+        config = RunConfig.from_dict(edited_config(name, edits))
+    except ConfigError:
+        return
+    assert all(math.isfinite(v) for v in float_values(config)), edits
+
+
+SHIPPED = ["blobs_small.json", "cifar_subset.json"]
+FIELD_PATHS = list(field_paths(RunConfig))
+
+
+def test_reader_on_each_single_edit():
+    for name in SHIPPED:
+        for path in FIELD_PATHS:
+            for value in ODD_VALUES:
+                check_reader(name, [(path, value)])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(name=st.sampled_from(SHIPPED),
+       edits=st.lists(st.tuples(st.sampled_from(FIELD_PATHS), st.sampled_from(ODD_VALUES)),
+                      min_size=1, max_size=3))
+def test_reader_on_up_to_three_edits(name, edits):
+    check_reader(name, edits)
+
+
 class TestLoadDatasets:
     def test_blob_splits_and_shapes(self):
         cfg = RunConfig.from_dict(minimal_config())
@@ -485,6 +582,16 @@ class TestCliFetch:
                         "--sha256", digest])
         assert code == 0
         assert "already verified" in capsys.readouterr().out
+
+    def test_upper_case_digest_verifies(self, tmp_path, capsys):
+        archive, _ = tar_cifar_files(tmp_path)
+        digest = hashlib.sha256(archive.read_bytes()).hexdigest().upper()
+        dest = tmp_path / "data"
+        for printed in ("fetched and verified", "already verified"):
+            assert run_cli(["fetch-data", "--dataset", "cifar10", "--out", str(dest),
+                            "--url", archive.as_uri(), "--sha256", digest]) == 0
+            assert printed in capsys.readouterr().out
+            assert (dest / "cifar10.tar.gz").is_file()
 
     def test_undersized_extraction_exits_2(self, tmp_path):
         archive, _ = tar_cifar_files(tmp_path, records_per_file=2)
@@ -600,6 +707,25 @@ class TestCliTrainEval:
         assert err == [f"error: cannot write run directory {out}: Not a directory"]
         assert (tmp_path / "file").read_text() == ""
         assert not os.path.lexists(tmp_path / "target")
+
+    @pytest.mark.parametrize("unwritable", ["metrics.csv", "final.ckpt"])
+    def test_write_error_in_run_dir_exits_1(self, tmp_path, capsys, monkeypatch, unwritable):
+        if unwritable == "final.ckpt":
+            def write_tensors(path, tensors):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            monkeypatch.setattr(ckpt, "write_tensors", write_tensors)
+            reason = "No space left on device"
+        else:
+            # the trainer opens the run directory itself in metrics.csv's place
+            monkeypatch.setattr(trainer, "open", lambda path, *a: builtins.open(path.parent, *a),
+                                raising=False)
+            reason = "Is a directory"
+        out = tmp_path / "run"
+        assert run_cli(["train", "--config", str(write_config(tmp_path, minimal_config())),
+                        "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write run directory {out}: {reason}"]
+        assert not (out / "final.ckpt").exists()
 
     def test_finished_run_is_not_overwritten(self, tmp_path, capsys):
         config_path = write_config(tmp_path, minimal_config())
