@@ -28,7 +28,6 @@ from .losses import LogitBatch, LossBreakdown, XiState, msl_total
 from .tensor import (
     Tensor,
     _result,
-    _with_backward,
     accumulate_grad,
     batch_norm,
     conv2d,
@@ -310,14 +309,14 @@ def attach_msn_loss(logit_tensors: Sequence, labels: np.ndarray,
         total=float(np.mean([bd.total for bd in per_head])),
         per_class_distance=mean_distances,
     )
-    dtype = logit_tensors[0].data.dtype
-    out = _result(np.asarray(aggregate.total, dtype=dtype), logit_tensors, "msn_loss")
 
     def _bw():
         for t, g in zip(logit_tensors, grads):
             accumulate_grad(t, out.grad * g)
 
-    return _with_backward(out, _bw), aggregate, per_head
+    dtype = logit_tensors[0].data.dtype
+    out = _result(np.asarray(aggregate.total, dtype=dtype), logit_tensors, _bw)
+    return out, aggregate, per_head
 
 
 def predict(state: NetworkState, images) -> np.ndarray:

@@ -64,12 +64,13 @@ class Tensor:
 
     ``data`` and ``grad`` always share shape and dtype. ``_prev`` holds the
     input tensors of the producing op and ``_backward`` accumulates gradients
-    into them; leaves, and results that need no gradient, have no provenance.
+    into them; ``_result`` sets both. Leaves, and results that need no
+    gradient, have no provenance.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_prev", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, _prev: tuple = (), op: str = "leaf"):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
@@ -78,20 +79,15 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.op = op
-        self._prev = _prev
+        self._prev = ()
         self._backward: Callable[[], None] = _no_backward
 
     @property
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, op={self.op})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Reverse accumulation from this node, visiting each node exactly once.
@@ -154,17 +150,19 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _result(data: np.ndarray, parents: Sequence[Tensor], op: str) -> Tensor:
-    """The output node of an op; it records its inputs only if it needs a gradient."""
+def _result(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[], None]) -> Tensor:
+    """The output node of an op, holding ``data``.
+
+    Only when grad mode is on and some parent needs a gradient does the node
+    record ``parents`` and ``backward``; otherwise the closure, and every
+    buffer it holds (im2col columns, pooling windows), is dropped here. An op
+    defines ``backward`` first, as a closure that reads the node, by the name
+    it is bound to, only when it runs: ``return (out := _result(..., _bw))``.
+    """
+    out = Tensor(data)
     if _grad_enabled.get() and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _prev=tuple(parents), op=op)
-    return Tensor(data, op=op)
-
-
-def _with_backward(out: Tensor, backward: Callable[[], None]) -> Tensor:
-    """``out`` with ``backward`` as its closure if it needs a gradient; otherwise
-    the closure, and every buffer it holds, is dropped here."""
-    if out.requires_grad:
+        out.requires_grad = True
+        out._prev = tuple(parents)
         out._backward = backward
     return out
 
@@ -234,7 +232,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
     y = (cols @ wmat).reshape(n, oh, ow, co)
     y_rows, bias_row = _rows(y, bias.data)
     y_rows += bias_row
-    out = _result(y, (x, kernel, bias), "conv2d")
 
     def _bw():
         g2d = out.grad.reshape(n * oh * ow, co)
@@ -257,17 +254,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, *, pad: int = 0) -> Tensor:
                     gimg[:, i:i + oh, j:j + ow, :] += gtaps[i, j]
             accumulate_grad(x, gimg[:, pad:pad + h, pad:pad + w, :])
 
-    return _with_backward(out, _bw)
+    return (out := _result(y, (x, kernel, bias), _bw))
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient 0 at exactly 0."""
-    out = _result(np.maximum(x.data, 0), (x,), "relu")
 
     def _bw():
         accumulate_grad(x, out.grad * (x.data > 0))
 
-    return _with_backward(out, _bw)
+    return (out := _result(np.maximum(x.data, 0), (x,), _bw))
 
 
 def max_pool2(x: Tensor) -> Tensor:
@@ -279,7 +275,6 @@ def max_pool2(x: Tensor) -> Tensor:
         raise ShapeMismatchError(f"max_pool2 needs even spatial extents, got {x.shape}")
     win = x.data.reshape(n, h // 2, 2, w // 2, 2, c)
     rows = np.maximum(win[:, :, :, :, 0], win[:, :, :, :, 1])  # each window row's max
-    out = _result(np.maximum(rows[:, :, 0], rows[:, :, 1]), (x,), "max_pool2")
 
     def _bw():
         # the first row-major max: row 0 unless row 1's max is larger, then
@@ -291,7 +286,7 @@ def max_pool2(x: Tensor) -> Tensor:
         gx = np.stack((g_rows * col0, g_rows * ~col0), axis=4)
         accumulate_grad(x, gx.reshape(n, h, w, c))
 
-    return _with_backward(out, _bw)
+    return (out := _result(np.maximum(rows[:, :, 0], rows[:, :, 1]), (x,), _bw))
 
 
 def global_average_pool(x: Tensor) -> Tensor:
@@ -299,13 +294,12 @@ def global_average_pool(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeMismatchError(f"global_average_pool needs a rank-4 input, got {x.shape}")
     n, h, w, c = x.shape
-    out = _result(np.einsum('nhwc->nc', x.data) / (h * w), (x,), "global_average_pool")
 
     def _bw():
         g = out.grad[:, None, None, :] / (h * w)
         accumulate_grad(x, np.broadcast_to(g, (n, h, w, c)))
 
-    return _with_backward(out, _bw)
+    return (out := _result(np.einsum('nhwc->nc', x.data) / (h * w), (x,), _bw))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -319,7 +313,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.data.shape != (weight.shape[1],):
         raise ShapeMismatchError(
             f"bias shape {bias.data.shape} does not match weight {weight.shape}")
-    out = _result(x.data @ weight.data + bias.data, (x, weight, bias), "linear")
 
     def _bw():
         g = out.grad
@@ -330,12 +323,16 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             accumulate_grad(bias, g.sum(axis=0))
 
-    return _with_backward(out, _bw)
+    return (out := _result(x.data @ weight.data + bias.data, (x, weight, bias), _bw))
+
+
+# Added to the variance under batch_norm's square root.
+BN_EPS = 1e-5
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               mode: str = "train", eps: float = 1e-5, momentum: float = 0.9,
+               mode: str = "train", momentum: float = 0.9,
                update_stats: bool = True) -> Tensor:
     """Per-channel normalization of an NHWC input over its batch and spatial axes.
 
@@ -373,12 +370,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     else:
         var = running_var.astype(x.data.dtype, copy=False)
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat_rows, inv_std_row, gamma_row, beta_row = _rows(xhat, inv_std, gamma.data, beta.data)
     xhat_rows *= inv_std_row
     y = xhat_rows * gamma_row
     y += beta_row
-    out = _result(y.reshape(x.shape), (x, gamma, beta), "batch_norm")
 
     def _bw():
         g = out.grad
@@ -401,7 +397,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                 gx *= inv_std_row
             accumulate_grad(x, gx.reshape(x.shape))
 
-    return _with_backward(out, _bw)
+    return (out := _result(y.reshape(x.shape), (x, gamma, beta), _bw))
 
 
 def residual_add(a: Tensor, b: Tensor) -> Tensor:
@@ -409,13 +405,12 @@ def residual_add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeMismatchError(
             f"residual_add shapes disagree: {a.data.shape} vs {b.data.shape}")
-    out = _result(a.data + b.data, (a, b), "residual_add")
 
     def _bw():
         accumulate_grad(a, out.grad)
         accumulate_grad(b, out.grad)
 
-    return _with_backward(out, _bw)
+    return (out := _result(a.data + b.data, (a, b), _bw))
 
 
 def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
@@ -427,12 +422,11 @@ def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
     if weights.shape != x.data.shape:
         raise ShapeMismatchError(
             f"weights shape {weights.shape} does not match input {x.data.shape}")
-    out = _result(np.asarray((x.data * weights).sum(), dtype=x.data.dtype), (x,), "weighted_sum")
 
     def _bw():
         accumulate_grad(x, out.grad * weights)
 
-    return _with_backward(out, _bw)
+    return (out := _result(np.asarray((x.data * weights).sum(), dtype=x.data.dtype), (x,), _bw))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from msn import data as D
 from msn.config import ConfigError, RunConfig, load_datasets
 from msn.network import build_network
 from msn.trainer import OptimizerState, evaluate, save_checkpoint
-from msn.verify import gradcheck_suite, invariant_suite, oracle_suite
+from msn.verify import CheckResult, gradcheck_suite, invariant_suite, oracle_suite
 
 from test_data import tar_cifar_files, traced_peak, write_cifar_files
 
@@ -593,6 +593,23 @@ class TestCliFetch:
             assert printed in capsys.readouterr().out
             assert (dest / "cifar10.tar.gz").is_file()
 
+    @pytest.mark.parametrize("stamp", [b'{"sha25', b"[]", b"null", b"\xff"],
+                             ids=["torn", "list", "null", "not-utf8"])
+    def test_unreadable_stamp_is_verified_again(self, tmp_path, capsys, stamp):
+        archive, _ = tar_cifar_files(tmp_path)
+        digest = hashlib.sha256(archive.read_bytes()).hexdigest()
+        dest = tmp_path / "data"
+        argv = ["fetch-data", "--dataset", "cifar10", "--out", str(dest),
+                "--url", archive.as_uri(), "--sha256", digest]
+        assert run_cli(argv) == 0
+        (dest / ".verified-cifar10").write_bytes(stamp)
+        capsys.readouterr()
+        # the archive kept in dest is verified again; the source is not read
+        argv[argv.index("--url") + 1] = (tmp_path / "dead.tar.gz").as_uri()
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == f"fetched and verified: {dest}\n"
+        assert json.loads((dest / ".verified-cifar10").read_text())["sha256"] == digest
+
     def test_undersized_extraction_exits_2(self, tmp_path):
         archive, _ = tar_cifar_files(tmp_path, records_per_file=2)
         digest = hashlib.sha256(archive.read_bytes()).hexdigest()
@@ -997,6 +1014,16 @@ class TestCliVerify:
             "invariant/momentum_unrolled_recurrence", "invariant/non_negative_losses",
         ]
         assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+
+    def test_a_nan_check_fails_and_exits_5(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_suites", lambda which, seed: [
+            CheckResult("check/nan", float("nan"), 1e-6), CheckResult("check/ok", 0.0, 1e-6)])
+        assert run_cli(["verify"]) == 5
+        assert capsys.readouterr().out.splitlines() == [
+            "check/nan worst_err=nan threshold=1.0e-06 FAIL",
+            "check/ok worst_err=0.000e+00 threshold=1.0e-06 PASS",
+            "1/2 checks passed",
+        ]
 
     def test_python_dash_m_msn_runs_the_cli(self):
         path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

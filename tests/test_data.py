@@ -6,8 +6,11 @@ import hashlib
 import io
 import os
 import re
+import subprocess
+import sys
 import tarfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +136,40 @@ class TestZca:
         matrix = whitening_matrix(D.zca_fit(x, eps=1e-2))
         assert np.isfinite(matrix).all()
         np.testing.assert_allclose(matrix, np.eye(12) / np.sqrt(1e-2), rtol=0, atol=1e-12)
+
+    # prints the digest of one fixed fit and the BLAS thread count before and after it
+    FIT_IN_CHILD = """
+import hashlib
+import numpy as np
+from msn import data as D
+images = D.global_contrast_normalize(
+    np.random.default_rng(0).random((300, 32, 32, 3), dtype=np.float32))
+get_threads, _ = D._openblas_threads()
+before = get_threads()
+t = D.zca_fit(images)
+print(hashlib.sha256(t.mean.tobytes() + t.basis.tobytes() + t.coef.tobytes()).hexdigest(),
+      before, get_threads())
+"""
+
+    @pytest.mark.skipif(D._openblas_threads() is None,
+                        reason="numpy does not run on its bundled OpenBLAS, whose thread "
+                               "count the fit pins")
+    def test_fit_bits_do_not_follow_the_blas_thread_count(self):
+        """Without the pin, 300 images fit to other bits at one and two OpenBLAS
+        threads. On a one-CPU machine OpenBLAS may run one thread either way,
+        so there the test passes without showing anything."""
+        src = str(Path(D.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", self.FIT_IN_CHILD], capture_output=True, text=True,
+                timeout=120, env={**os.environ, "PYTHONPATH": src,
+                                  "OPENBLAS_NUM_THREADS": threads})
+            assert done.returncode == 0, done.stderr
+            digest, before, after = done.stdout.split()
+            assert before == after  # the fit restores the thread count
+            digests.add(digest)
+        assert len(digests) == 1
 
 
 # ---------------------------------------------------------------------------

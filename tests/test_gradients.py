@@ -103,9 +103,9 @@ def test_no_grad_results_record_no_graph():
     with no_grad():
         inside = every_op(0)
     outside = every_op(0)
-    for a, b in zip(inside, outside):
-        assert a._prev == () and not a.requires_grad, a.op
-        assert b._prev and b.requires_grad, b.op
+    for index, (a, b) in enumerate(zip(inside, outside)):
+        assert a._prev == () and not a.requires_grad, index
+        assert b._prev and b.requires_grad, index
         np.testing.assert_array_equal(a.data, b.data)
 
 
