@@ -595,8 +595,9 @@ class TestCliFetch:
 
     @pytest.mark.parametrize("stamp", [b'{"sha25', b"[]", b"null", b"\xff"],
                              ids=["torn", "list", "null", "not-utf8"])
-    def test_unreadable_stamp_is_verified_again(self, tmp_path, capsys, stamp):
-        archive, _ = tar_cifar_files(tmp_path)
+    def test_unreadable_stamp_is_verified_again(self, tmp_path, monkeypatch, capsys, stamp):
+        archive, expected = tar_cifar_files(tmp_path, records_per_file=2)
+        monkeypatch.setattr(D, "CIFAR10_EXPECTED", expected)
         digest = hashlib.sha256(archive.read_bytes()).hexdigest()
         dest = tmp_path / "data"
         argv = ["fetch-data", "--dataset", "cifar10", "--out", str(dest),
