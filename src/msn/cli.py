@@ -9,7 +9,6 @@ verification. ``main`` maps each failure to its code in one table.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import os
 import sys
@@ -17,8 +16,8 @@ import time
 from pathlib import Path
 
 from .checkpoint import CheckpointError
-from .config import ConfigError, DataConfig, RunConfig, load_datasets
-from .data import DatasetFormatError, DigestMismatchError, DownloadError, fetch_dataset
+from .config import ConfigError, RunConfig, load_datasets
+from .data import DatasetFormatError, DigestMismatchError, DownloadError, data_root, fetch_dataset
 from .trainer import (
     TrainingDivergedError,
     evaluate,
@@ -54,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_fetch_data(args) -> int:
-    dest = args.out or DataConfig().resolve_data_dir()
+    dest = args.out or data_root()
     try:
         Path(dest).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -105,8 +104,6 @@ def cmd_eval(args) -> int:
     ckpt_path = Path(args.checkpoint)
     config_path = args.config or ckpt_path.parent / "config.resolved.json"
     config = RunConfig.from_file(config_path)
-    data = dataclasses.replace(config.data, data_dir=args.data_dir or config.data.data_dir)
-    config = dataclasses.replace(config, data=data)
     state, _, _ = load_checkpoint(ckpt_path, config.network, xi_factory=config.train.xi.state)
     _, test_ds = load_datasets(config, test_only=True)
     print(f"test_error={evaluate(state, test_ds):.6f}")
@@ -147,8 +144,6 @@ def build_parser() -> _Parser:
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint")
     ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--data-dir", default=None,
-                    help="CIFAR-10 directory (default: the config's data.data_dir)")
     ev.add_argument("--config", default=None,
                     help="run config (default: config.resolved.json next to the checkpoint)")
     ev.set_defaults(func=cmd_eval)

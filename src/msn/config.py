@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import os
 import sys
 import types
 import typing
@@ -81,7 +80,6 @@ class SubsetConfig:
 @dataclass(frozen=True)
 class DataConfig:
     dataset: str = "blobs"
-    data_dir: str | None = None
     gcn: bool = True
     zca: bool = True
     zca_eps: float = 1e-2
@@ -96,9 +94,6 @@ class DataConfig:
             raise ValueError(f"zca_eps must be positive, got {self.zca_eps}")
         if self.subset is not None and self.dataset != "cifar10":
             raise ValueError(f"subset applies to cifar10, not to {self.dataset!r}")
-
-    def resolve_data_dir(self) -> str:
-        return self.data_dir or os.environ.get("MSN_DATA_DIR", "data")
 
 
 _EXPECTED = {int: "an integer", float: "a number", bool: "true or false",
@@ -210,8 +205,8 @@ def load_datasets(config: RunConfig, *, test_only: bool = False):
     """Materialize (train, test) per the data section, fully preprocessed.
 
     Blobs derive from the training seed so that loss-mode A/B runs at one seed
-    share the exact dataset. CIFAR-10 is read from the resolved data dir and
-    must already be fetched. The images must fit the network's input shape
+    share the exact dataset. CIFAR-10 is read from ``D.data_root()`` and must
+    already be fetched. The images must fit the network's input shape
     and class count. GCN and ZCA (fit on the training split) apply here;
     flips happen at batch time inside the trainer. With ``test_only`` the
     training split is still built to fit ZCA on, but only the test split is
@@ -231,7 +226,7 @@ def load_datasets(config: RunConfig, *, test_only: bool = False):
         test = np.concatenate([idx[b.train_per_class:][:b.test_per_class] for idx in per_class])
         train, test = ds.take(train), ds.take(test)
     else:
-        data_dir = dc.resolve_data_dir()
+        data_dir = D.data_root()
         if not D.cifar10_files_present(data_dir):
             raise ConfigError(
                 f"CIFAR-10 files not found under {data_dir!r}; run "

@@ -183,6 +183,11 @@ def fetch_dataset(dest, url: str | None = None, sha256: str | None = None) -> st
     return "fetched"
 
 
+def data_root() -> str:
+    """Where CIFAR-10 is read, and fetched by default: $MSN_DATA_DIR, else ``data``."""
+    return os.environ.get("MSN_DATA_DIR", "data")
+
+
 def cifar10_files_present(data_dir) -> bool:
     return not _missing(Path(data_dir))
 

@@ -8,6 +8,7 @@ gradients into the autodiff graph is the network module's job.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -73,16 +74,18 @@ class XiState:
     history: deque = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.initial_xi <= 0:
-            raise ValueError(f"xi initial must be positive, got {self.initial_xi}")
+        # written so that NaN fails each check; an infinite value fails too
+        if not 0 < self.initial_xi < math.inf:
+            raise ValueError(f"xi initial must be finite and positive, got {self.initial_xi}")
         if not (0 < self.decay < 1):
             raise ValueError(f"xi decay must lie in (0, 1), got {self.decay}")
         if not (1 <= self.window <= sys.maxsize // 2):  # deque(maxlen=2 * window) fits
             raise ValueError(f"xi window must lie in [1, {sys.maxsize // 2}], got {self.window}")
-        if self.plateau_tol < 0:
-            raise ValueError(f"xi plateau_tol must be non-negative, got {self.plateau_tol}")
-        if self.floor < 0:
-            raise ValueError(f"xi floor must be non-negative, got {self.floor}")
+        if not 0 <= self.plateau_tol < math.inf:
+            raise ValueError(f"xi plateau_tol must be finite and non-negative, "
+                             f"got {self.plateau_tol}")
+        if not 0 <= self.floor < math.inf:
+            raise ValueError(f"xi floor must be finite and non-negative, got {self.floor}")
         self.xi = self.initial_xi
         self.history = deque(maxlen=2 * self.window)
 

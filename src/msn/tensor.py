@@ -451,7 +451,7 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[np.ndarray],
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = f(*tensors)
     if out.data.ndim != 0:
-        raise ValueError("grad_check expects f to return a scalar tensor")
+        raise ValueError(f"grad_check expects f to return a scalar tensor, got shape {out.shape}")
     check_finite(out.data, "grad_check output")
     out.backward()
     analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]

@@ -8,6 +8,8 @@ resumed run replays the exact trajectory of an uninterrupted one.
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +103,25 @@ def _csv_row(r: "IterationRecord") -> str:
              repr(r.train_error),
              repr(r.test_error) if r.test_error is not None else ""]
     return ",".join(cells)
+
+
+def _continue_csv(path, start: int):
+    """``path`` opened to append after its rows 0..start-1, which must follow
+    CSV_HEADER, one whole row per iteration in order; the rows after them were
+    never checkpointed and are cut. A file that does not fit, or is missing, is
+    a CheckpointError, raised before a byte changes."""
+    try:
+        with open(path, "rb") as fh:
+            lines = list(itertools.islice(fh, start + 1))
+    except OSError as exc:
+        raise ckpt.CheckpointError(f"{path}: cannot resume its metrics: {exc.strerror}") from exc
+    if (len(lines) != start + 1 or lines[0] != f"{CSV_HEADER}\n".encode()
+            or any(not line.startswith(b"%d," % i) or not line.endswith(b"\n")
+                   for i, line in enumerate(lines[1:]))):
+        raise ckpt.CheckpointError(
+            f"{path}: does not hold the header and rows 0..{start - 1} of the resumed run")
+    os.truncate(path, sum(map(len, lines)))
+    return open(path, "a")
 
 
 @dataclass
@@ -204,6 +225,9 @@ def load_checkpoint(path, spec: NetworkSpec, xi_factory=XiState) -> tuple:
         if packed.ndim != 1 or not 0 <= n <= history.maxlen or packed[1] != n:
             raise ckpt.CheckpointError(f"{name}: not [xi, n, *history] with n <= "
                                        f"{history.maxlen} history values")
+        if not (0 < packed[0] < np.inf and np.isfinite(packed[2:]).all()):
+            raise ckpt.CheckpointError(f"{name}: xi {packed[0]} is not finite and positive, "
+                                       f"or a history value is not finite")
         head.xi_state.xi = float(packed[0])
         history.extend(packed[2:].tolist())
     if not (iteration[0] >= 0 and float(iteration[0]).is_integer()):
@@ -219,7 +243,13 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
     With ``flip`` each image of each batch is mirrored with probability 0.5.
     With ``resume_path`` the loop continues from the checkpointed iteration on
     the identical trajectory. With ``csv_path`` the metrics stream to disk,
-    flushed at evaluation intervals.
+    flushed at evaluation intervals. A fresh run writes the file anew. A run
+    resumed at iteration k appends to it, so it ends as an uninterrupted run's
+    would: the file must hold the header and then rows 0..k-1, checked by
+    each row's first cell; rows after those are cut, and a file that is
+    missing or holds fewer rows or another header raises CheckpointError and
+    is left as it was. ``rows`` of the result holds only the iterations this
+    call ran.
     """
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
@@ -233,7 +263,9 @@ def train(config: TrainConfig, spec: NetworkSpec, dataset: LabeledDataset,
 
     rows = []
     csv_file = None
-    if csv_path is not None:
+    if csv_path is not None and resume_path is not None:
+        csv_file = _continue_csv(csv_path, start)
+    elif csv_path is not None:
         csv_file = open(csv_path, "w")
         csv_file.write(CSV_HEADER + "\n")
 

@@ -6,7 +6,6 @@ synthetic data. Expected wall time for the full module is a few minutes,
 dominated by the five-seed A/B training runs of criterion 7.
 """
 
-import os
 import runpy
 import time
 from pathlib import Path
@@ -16,6 +15,7 @@ import pytest
 
 from msn.data import (
     cifar10_files_present,
+    data_root,
     global_contrast_normalize,
     load_cifar10,
     subset_per_class,
@@ -49,7 +49,7 @@ def check(suite, seed, name):
 
 
 def _data_dir():
-    root = os.environ.get("MSN_DATA_DIR", "data")
+    root = data_root()
     return root if cifar10_files_present(root) else None
 
 

@@ -29,7 +29,7 @@ from msn import data as D
 from msn.config import ConfigError, RunConfig, load_datasets
 from msn.network import build_network
 from msn.trainer import OptimizerState, evaluate, save_checkpoint
-from msn.verify import CheckResult, gradcheck_suite, invariant_suite, oracle_suite
+from msn.verify import CheckResult, gradcheck_suite, invariant_suite, oracle_suite, run_suites
 
 from test_data import tar_cifar_files, traced_peak, write_cifar_files
 
@@ -87,7 +87,6 @@ BLOBS_SMALL_RESOLVED = """\
       "test_per_class": 100,
       "train_per_class": 500
     },
-    "data_dir": null,
     "dataset": "blobs",
     "flip": false,
     "gcn": false,
@@ -150,7 +149,6 @@ CIFAR_SUBSET_RESOLVED = """\
       "test_per_class": 100,
       "train_per_class": 500
     },
-    "data_dir": null,
     "dataset": "cifar10",
     "flip": true,
     "gcn": true,
@@ -309,7 +307,7 @@ UNKNOWN_KEYS = [
     # keys a run config had until they left it; a run directory written then holds them
     pytest.param(lambda d: d.update(out_dir="runs/x"), "out_dir", id="out_dir"),
     *(pytest.param(lambda d, k=key: d["data"].update({k: None}), key, id=f"data.{key}")
-      for key in ("url", "sha256")),
+      for key in ("url", "sha256", "data_dir")),
     pytest.param(lambda d: d["data"]["blobs"].update(noise=1.0), "noise", id="data.blobs.noise"),
 ]
 
@@ -550,11 +548,13 @@ class TestLoadDatasets:
         assert len(train) == 500 and len(test) == 100
         assert peak < 1.25 * len(D.CIFAR10_TRAIN_FILES) * D.CIFAR10_FILE_BYTES
 
-    def test_missing_cifar_reports_config_error(self, tmp_path):
+    def test_missing_cifar_reports_config_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MSN_DATA_DIR", str(tmp_path / "nope"))
         raw = minimal_config()
-        raw["data"] = {"dataset": "cifar10", "data_dir": str(tmp_path / "nope")}
-        with pytest.raises(ConfigError):
+        raw["data"] = {"dataset": "cifar10"}
+        with pytest.raises(ConfigError) as exc:
             load_datasets(RunConfig.from_dict(raw))
+        assert f"CIFAR-10 files not found under {str(tmp_path / 'nope')!r}" in str(exc.value)
 
     @pytest.mark.parametrize("mutate,needle", BAD_DATA)
     def test_bad_data_rejected_by_name(self, mutate, needle):
@@ -905,21 +905,28 @@ class TestCliTrainEval:
         assert run_cli(["eval", "--checkpoint", str(out / "final.ckpt")]) == 0
         assert capsys.readouterr().out.startswith("test_error=")
 
-    def test_eval_of_a_run_with_removed_keys_names_them(self, tmp_path, capsys):
-        # config.resolved.json as it was written while the run config held
-        # out_dir, data.url, data.sha256 and data.blobs.noise
+    @pytest.mark.parametrize("keys,message", [
+        # while the run config held out_dir, data.url, data.sha256, data.blobs.noise
+        (lambda old, out: (old.update(out_dir=str(out)),
+                           old["data"].update(url=None, sha256=None, data_dir=None),
+                           old["data"]["blobs"].update(noise=1.0)),
+         "unknown key(s) in config: ['out_dir']"),
+        # after those left it and until data.data_dir did
+        (lambda old, out: old["data"].update(data_dir=None),
+         "unknown key(s) in data: ['data_dir']"),
+    ], ids=["out_dir", "data_dir"])
+    def test_eval_of_a_run_with_removed_keys_names_them(self, tmp_path, capsys, keys, message):
+        # config.resolved.json as it was written while the run config held the keys
         config_path = write_config(tmp_path, minimal_config())
         out = tmp_path / "run"
         assert run_cli(["train", "--config", str(config_path), "--out", str(out)]) == 0
         resolved = out / "config.resolved.json"
         old = json.loads(resolved.read_text())
-        old["out_dir"] = str(out)
-        old["data"].update(url=None, sha256=None)
-        old["data"]["blobs"]["noise"] = 1.0
+        keys(old, out)
         resolved.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
         capsys.readouterr()
         assert run_cli(["eval", "--checkpoint", str(out / "final.ckpt")]) == 1
-        assert capsys.readouterr().err == "error: unknown key(s) in config: ['out_dir']\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert run_cli(["eval", "--checkpoint", str(out / "final.ckpt"),
                         "--config", str(config_path)]) == 0
         assert capsys.readouterr().out.startswith("test_error=")
@@ -949,17 +956,12 @@ class TestCliTrainEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: training diverged at iteration 1:")
 
-    @pytest.mark.parametrize("command", ["train", "eval", "eval --data-dir"])
-    def test_malformed_cifar_batch_exits_2_without_run_dir(self, tmp_path, capsys, monkeypatch,
-                                                           cifar_dir, command):
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_malformed_cifar_batch_exits_2_without_run_dir(self, tmp_path, capsys, cifar_dir,
+                                                           command):
         with open(cifar_dir / D.CIFAR10_TRAIN_FILES[0], "r+b") as fh:
             fh.write(b"\xff")  # label byte of the first record
         raw = shipped_config("cifar_subset.json")
-        if command == "eval --data-dir":
-            # only the flag names the malformed data: not the config, not the environment
-            monkeypatch.setenv("MSN_DATA_DIR", str(tmp_path / "elsewhere"))
-        else:
-            raw["data"]["data_dir"] = str(cifar_dir)
         config_path = str(write_config(tmp_path, raw))
         out = tmp_path / "run"
         if command == "train":
@@ -971,8 +973,6 @@ class TestCliTrainEval:
             save_checkpoint(net, OptimizerState.zeros_like(net.params),
                             [h.xi_state for h in net.heads], ckpt)
             argv = ["eval", "--config", config_path, "--checkpoint", str(ckpt)]
-            if command == "eval --data-dir":
-                argv += ["--data-dir", str(cifar_dir)]
         assert run_cli(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -1036,6 +1036,20 @@ class TestCliVerify:
 
     def test_unknown_suite_is_usage_error(self):
         assert run_cli(["verify", "--suite", "bogus"]) == 1
+        # the CLI's choices refuse it first; run_suites refuses it too
+        with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+            run_suites("bogus", seed=0)
+
+    @pytest.mark.parametrize("which,suite", [("oracle", oracle_suite),
+                                             ("invariants", invariant_suite)])
+    def test_run_suites_runs_the_named_suite_alone(self, which, suite):
+        assert run_suites(which, seed=3) == suite(3)
+
+    def test_a_failure_with_no_exit_code_is_raised(self, monkeypatch):
+        # only the failures of EXIT_CODES become an error line; a bug keeps its traceback
+        monkeypatch.setattr(cli, "run_suites", lambda which, seed: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_cli(["verify"])
 
     def test_negative_seed_is_usage_error(self, capsys):
         assert run_cli(["verify", "--seed", "-1"]) == 1

@@ -546,3 +546,34 @@ class TestLoader:
         os.remove(tmp_path / D.CIFAR10_TEST_FILES[0])
         with pytest.raises(D.DatasetFormatError):
             D.load_cifar10(tmp_path)
+
+
+def one_per_class(n=3):
+    return D.LabeledDataset(images=np.zeros((n, 2, 2, 1), np.float32),
+                            labels=np.arange(n), num_classes=n)
+
+
+# Refusals that no other test reaches: the call, its exception type, and the
+# parts of the message that name what it refused.
+REFUSALS = [
+    pytest.param(lambda: D.LabeledDataset(images=np.zeros((4, 8, 8)), labels=np.zeros(4, int),
+                                          num_classes=2),
+                 ValueError, ["rank 4", "(4, 8, 8)"], id="LabeledDataset-rank"),
+    pytest.param(lambda: D.LabeledDataset(images=np.zeros((4, 8, 8, 1)),
+                                          labels=np.zeros(3, int), num_classes=2),
+                 ValueError, ["4 images vs 3 labels"], id="LabeledDataset-count"),
+    pytest.param(lambda: D.LabeledDataset(images=np.zeros((2, 8, 8, 1)),
+                                          labels=np.array([0, 2]), num_classes=2),
+                 ValueError, ["labels outside [0, 2)"], id="LabeledDataset-labels"),
+    pytest.param(lambda: D.class_aware_batch_indices(one_per_class(), 4,
+                                                     np.random.default_rng(0)),
+                 ValueError, ["no class has two or more samples"], id="class-aware-no-pairs"),
+]
+
+
+@pytest.mark.parametrize("call,error,named", REFUSALS)
+def test_refusal_names_what_it_refuses(call, error, named):
+    with pytest.raises(Exception) as exc:
+        call()
+    assert type(exc.value) is error
+    assert [part for part in named if part not in str(exc.value)] == []

@@ -230,3 +230,22 @@ class TestMslTotal:
         assert breakdown.total == ce
         np.testing.assert_array_equal(grad, ce_grad)
 
+
+# Refusals that no other test reaches: the call, its exception type, and the
+# parts of the message that name what it refused.
+REFUSALS = [
+    pytest.param(lambda: LogitBatch(q=np.zeros((3, 1)), y=np.zeros(3, int)), ValueError,
+                 ["(N>=1, c>=2)", "(3, 1)"], id="LogitBatch-one-class"),
+    pytest.param(lambda: LogitBatch(q=np.zeros((3, 2)), y=np.zeros(2, int)), ValueError,
+                 ["(2,)", "(3, 2)"], id="LogitBatch-label-count"),
+    pytest.param(lambda: LogitBatch(q=np.zeros((3, 2)), y=np.array([0, 1, 2])), ValueError,
+                 ["[0, 2)", "[0, 2]"], id="LogitBatch-label-range"),
+]
+
+
+@pytest.mark.parametrize("call,error,named", REFUSALS)
+def test_refusal_names_what_it_refuses(call, error, named):
+    with pytest.raises(Exception) as exc:
+        call()
+    assert type(exc.value) is error
+    assert [part for part in named if part not in str(exc.value)] == []

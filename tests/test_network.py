@@ -475,3 +475,24 @@ class TestPredict:
         state = fixed_head_network(deep_bias=[-1.0, 0.5, 0.5])
         preds = predict(state, rng.standard_normal((5, 8, 8, 1)))
         np.testing.assert_array_equal(preds, [1] * 5)
+
+
+# Refusals that no other test reaches: the call, its exception type, and the
+# parts of the message that name what it refused.
+REFUSALS = [
+    *(pytest.param(lambda k=key, v=value: NetworkSpec(family="vgg", **{k: v}), ValueError,
+                   [needle], id=f"NetworkSpec-{key}={value}")
+      for key, value, needle in [("depth_k", 0, "depth_k must be at least 1"),
+                                 ("widen_factor", 0, "widen_factor must be at least 1"),
+                                 ("num_classes", 1, "at least 2 classes")]),
+    pytest.param(lambda: NetworkSpec(family="vgg", input_shape=(12, 12, 3)), ValueError,
+                 ["(12, 12, 3)", "divisible by 8"], id="NetworkSpec-input_shape"),
+]
+
+
+@pytest.mark.parametrize("call,error,named", REFUSALS)
+def test_refusal_names_what_it_refuses(call, error, named):
+    with pytest.raises(Exception) as exc:
+        call()
+    assert type(exc.value) is error
+    assert [part for part in named if part not in str(exc.value)] == []

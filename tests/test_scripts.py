@@ -77,3 +77,39 @@ def test_record_golden_compare_names_the_runs_whose_bits_moved():
                     "added": run}}
     assert compare(old, new) == {"same": "unchanged", "moved": "changed", "added": "changed"}
     assert compare({}, new) == dict.fromkeys(new["runs"], "changed")
+
+
+LINE_TRACE_SOURCE = '''\
+"""Module docstring."""
+import os
+
+
+def f(x):
+    """Function docstring."""
+    if (x and
+            os.sep):
+        return (1 +
+                2)
+    try:
+        y = 3
+    except ValueError:
+        raise RuntimeError(
+            "unreached")
+    for _ in range(y):
+        y -= 1
+    return y
+
+
+class C:
+    z = 4
+'''
+
+
+def test_line_trace_reports_each_statement_no_line_of_which_ran():
+    unexecuted = runpy.run_path(str(ROOT / "scripts" / "line_trace.py"))["unexecuted"]
+    # the if header ran through its second line, the return through its last;
+    # docstrings, imports, def, class, try and except lines are not counted
+    hit = {8, 10, 12, 16, 18}
+    assert unexecuted(LINE_TRACE_SOURCE, hit) == [14, 17, 22]
+    assert unexecuted(LINE_TRACE_SOURCE, set(range(1, 23))) == []
+    assert unexecuted(LINE_TRACE_SOURCE, set()) == [7, 9, 12, 14, 16, 17, 18, 22]

@@ -17,14 +17,17 @@ from msn.tensor import (
     ShapeMismatchError,
     Tensor,
     _im2col,
+    accumulate_grad,
     batch_norm,
     conv2d,
     global_average_pool,
+    grad_check,
     linear,
     max_pool2,
     no_grad,
     relu,
     residual_add,
+    weighted_sum,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -529,3 +532,57 @@ def test_every_oracle_is_called_by_verify_or_another_oracle():
             called |= {node.func.id for node in ast.walk(f) if isinstance(node, ast.Call)
                        and isinstance(node.func, ast.Name) and node.func.id != f.name}
     assert sorted(public - called) == []
+
+
+def zeros(*shape):
+    return t64(np.zeros(shape))
+
+
+def bn(x, gamma=zeros(3), mode="train"):
+    """batch_norm of ``x`` with 3-channel beta and running buffers."""
+    return batch_norm(x, gamma, zeros(3), np.zeros(3), np.ones(3), mode=mode)
+
+
+# Refusals that no other test reaches: the call, its exception type, and the
+# parts of the message that name what it refused (a ShapeMismatchError's
+# message names the shapes involved).
+REFUSALS = [
+    pytest.param(lambda: Tensor(np.zeros((1,) * 5)), ShapeMismatchError,
+                 ["rank 5", "(1, 1, 1, 1, 1)"], id="Tensor-rank-5"),
+    pytest.param(lambda: linear(zeros(2, 3), zeros(3, 2), zeros(2)).backward(np.zeros(3)),
+                 ShapeMismatchError, ["(3,)", "(2, 2)"], id="backward-seed-shape"),
+    pytest.param(lambda: accumulate_grad(Tensor(np.zeros((2, 3)), requires_grad=True),
+                                         np.zeros((3, 2))),
+                 ShapeMismatchError, ["(3, 2)", "(2, 3)"], id="accumulate_grad-shape"),
+    pytest.param(lambda: conv2d(zeros(4, 4, 1), zeros(3, 3, 1, 1), zeros(1)),
+                 ShapeMismatchError, ["(4, 4, 1)", "(3, 3, 1, 1)"], id="conv2d-rank"),
+    pytest.param(lambda: conv2d(zeros(1, 4, 4, 1), zeros(3, 3, 1, 2), zeros(3)),
+                 ShapeMismatchError, ["(3,)", "(3, 3, 1, 2)"], id="conv2d-bias"),
+    pytest.param(lambda: conv2d(zeros(1, 4, 4, 1), zeros(3, 3, 1, 1), zeros(1), pad=-1),
+                 ValueError, ["pad=-1"], id="conv2d-negative-pad"),
+    pytest.param(lambda: max_pool2(zeros(4, 4, 1)), ShapeMismatchError, ["(4, 4, 1)"],
+                 id="max_pool2-rank"),
+    pytest.param(lambda: global_average_pool(zeros(2, 3)), ShapeMismatchError, ["(2, 3)"],
+                 id="global_average_pool-rank"),
+    pytest.param(lambda: linear(zeros(2, 3, 1), zeros(3, 2), zeros(2)), ShapeMismatchError,
+                 ["(2, 3, 1)", "(3, 2)"], id="linear-rank"),
+    pytest.param(lambda: linear(zeros(2, 3), zeros(3, 2), zeros(3)), ShapeMismatchError,
+                 ["(3,)", "(3, 2)"], id="linear-bias"),
+    pytest.param(lambda: bn(zeros(2, 3)), ShapeMismatchError, ["(2, 3)"], id="batch_norm-rank"),
+    pytest.param(lambda: bn(zeros(1, 2, 2, 3), gamma=zeros(2)), ShapeMismatchError,
+                 ["(2,)/(3,)", "(1, 2, 2, 3)"], id="batch_norm-gamma"),
+    pytest.param(lambda: bn(zeros(1, 2, 2, 3), mode="eval"), ValueError, ["'eval'"],
+                 id="batch_norm-mode"),
+    pytest.param(lambda: weighted_sum(zeros(2, 3), np.zeros((3, 2))), ShapeMismatchError,
+                 ["(3, 2)", "(2, 3)"], id="weighted_sum-weights"),
+    pytest.param(lambda: grad_check(relu, [np.zeros(2)]), ValueError, ["scalar", "(2,)"],
+                 id="grad_check-non-scalar"),
+]
+
+
+@pytest.mark.parametrize("call,error,named", REFUSALS)
+def test_refusal_names_what_it_refuses(call, error, named):
+    with pytest.raises(Exception) as exc:
+        call()
+    assert type(exc.value) is error
+    assert [part for part in named if part not in str(exc.value)] == []

@@ -2,12 +2,15 @@
 checkpoint loads. Byte-identical reruns and resume equivalence are criterion
 10's."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from msn import checkpoint as C
 from msn import trainer
-from msn.data import synthetic_blobs
+from msn.data import LabeledDataset, synthetic_blobs
 from msn.losses import LogitBatch, XiConfig, XiState, msl_total
 from msn.network import NetworkSpec, attach_msn_loss, build_network, forward_heads, predict
 from msn.tensor import NonFiniteError, Tensor
@@ -266,6 +269,52 @@ class TestCheckpointResume:
             load_checkpoint(path, bigger)
 
 
+def run_to_csv(iterations, csv_path=None, resume_path=None):
+    return train(tiny_config(iterations=iterations), tiny_spec(attachment=(1, 2)), tiny_blobs(),
+                 eval_dataset=tiny_blobs(seed=2), csv_path=csv_path, resume_path=resume_path)
+
+
+def checkpoint_at(tmp_path, k):
+    """A checkpoint of ``run_to_csv``'s run at iteration ``k``."""
+    result = run_to_csv(k)
+    path = tmp_path / f"at{k}.ckpt"
+    save_checkpoint(result.state, result.opt_state,
+                    [h.xi_state for h in result.state.heads], path, iteration=k)
+    return path
+
+
+class TestResumedCsv:
+    """A resumed run appends to metrics.csv, which ends as an uninterrupted run's."""
+
+    @pytest.mark.parametrize("rows_before", [10, 15], ids=["as-checkpointed", "rows-past-it"])
+    def test_resumed_csv_is_the_uninterrupted_runs(self, tmp_path, rows_before):
+        full, resumed = tmp_path / "full.csv", tmp_path / "resumed.csv"
+        run_to_csv(20, full)
+        run_to_csv(rows_before, resumed)
+        result = run_to_csv(20, resumed, resume_path=checkpoint_at(tmp_path, 10))
+        assert resumed.read_bytes() == full.read_bytes()
+        assert [row.iteration for row in result.rows] == list(range(10, 20))
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:1 + 7],
+        lambda lines: [lines[0].replace(b"loss_total", b"loss"), *lines[1:]],
+        lambda lines: [*lines[:4], lines[5], lines[4], *lines[6:]],
+        lambda lines: [*lines[:-1], lines[-1].rstrip(b"\n")],
+        None,
+    ], ids=["seven-rows", "other-header", "rows-out-of-order", "torn-last-row", "missing"])
+    def test_csv_that_does_not_fit_the_checkpoint_is_refused_unchanged(self, tmp_path, edit):
+        csv_path = tmp_path / "metrics.csv"
+        run_to_csv(10, csv_path)
+        if edit is None:
+            csv_path.unlink()
+        else:
+            csv_path.write_bytes(b"".join(edit(csv_path.read_bytes().splitlines(keepends=True))))
+        before = csv_path.read_bytes() if csv_path.exists() else None
+        with pytest.raises(C.CheckpointError, match=f"^{re.escape(str(csv_path))}: "):
+            run_to_csv(20, csv_path, resume_path=checkpoint_at(tmp_path, 10))
+        assert (csv_path.read_bytes() if csv_path.exists() else None) == before
+
+
 def trained_checkpoint(tmp_path, attachment=(1, 2), xi_window=4):
     """A checkpoint of a short run: nonzero velocities, xi histories in use."""
     spec = tiny_spec(attachment=attachment)
@@ -344,6 +393,19 @@ class TestStrictLoad:
         with pytest.raises(C.CheckpointError, match="xi.head2.state"):
             load_checkpoint(path, spec)
 
+    # each of these loaded, and the run went on with the within-class term
+    # off (NaN or an infinite xi) or failed with an unmapped ValueError
+    @pytest.mark.parametrize("packed", [[np.nan, 0.0], [np.inf, 0.0], [-1.0, 0.0], [0.0, 0.0],
+                                        [0.5, 2.0, 1.0, np.nan], [0.5, 1.0, -np.inf]],
+                             ids=["xi=nan", "xi=inf", "xi=-1", "xi=0", "history-nan",
+                                  "history-inf"])
+    def test_xi_and_its_history_must_be_finite(self, tmp_path, packed):
+        spec, path = trained_checkpoint(tmp_path)
+        rewrite(path, lambda tensors: tensors.update(
+            {"xi.head2.state": np.array(packed, dtype=np.float64)}))
+        with pytest.raises(C.CheckpointError, match="^xi.head2.state: xi .* is not finite"):
+            load_checkpoint(path, spec)
+
     @pytest.mark.parametrize("name,shape", [("head2.fc.bias", (4,)),
                                             ("opt.velocity.block2.conv1.kernel", (3, 3, 2, 5)),
                                             ("meta.iteration", (2,))])
@@ -373,7 +435,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
-    @pytest.mark.parametrize("bad", [dict(window=0), dict(decay=1.0), dict(floor=-1.0)])
+    @pytest.mark.parametrize("bad", [
+        dict(window=0), dict(decay=1.0), dict(floor=-1.0),
+        *(dict({name: value}) for name in ("initial", "plateau_tol", "floor")
+          for value in (math.nan, math.inf)),
+    ])
     def test_xi_rejects(self, bad):
         with pytest.raises(ValueError):
             XiConfig(**bad)
+
+
+# Refusals that no other test reaches: the call, its exception type, and the
+# parts of the message that name what it refused.
+REFUSALS = [
+    pytest.param(lambda: lr_schedule(TrainConfig(iterations=1), -1), ValueError,
+                 ["iteration must be non-negative"], id="lr_schedule-negative-iteration"),
+    pytest.param(lambda: train(tiny_config(), tiny_spec(),
+                               LabeledDataset(images=np.zeros((0, 8, 8, 1), np.float32),
+                                              labels=np.zeros(0, int), num_classes=3)),
+                 ValueError, ["training dataset is empty"], id="train-empty-dataset"),
+]
+
+
+@pytest.mark.parametrize("call,error,named", REFUSALS)
+def test_refusal_names_what_it_refuses(call, error, named):
+    with pytest.raises(Exception) as exc:
+        call()
+    assert type(exc.value) is error
+    assert [part for part in named if part not in str(exc.value)] == []
